@@ -17,7 +17,8 @@
 #include <memory>
 #include <vector>
 
-#include "wt/soft/storage_service.h"
+#include "wt/soft/placement.h"
+#include "wt/soft/redundancy.h"
 
 namespace wt {
 

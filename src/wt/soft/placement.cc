@@ -8,36 +8,32 @@
 
 namespace wt {
 
-std::vector<NodeIndex> RandomPlacement::Place(ObjectId /*object*/,
-                                              int num_fragments,
-                                              int num_nodes,
-                                              RngStream& rng) const {
+void RandomPlacement::Place(ObjectId /*object*/, int num_fragments,
+                            int num_nodes, RngStream& rng,
+                            std::vector<NodeIndex>& out) const {
   WT_CHECK(num_fragments <= num_nodes)
       << "more fragments than nodes: " << num_fragments << " > " << num_nodes;
-  // Partial Fisher–Yates over a scratch identity vector.
-  std::vector<NodeIndex> pool(static_cast<size_t>(num_nodes));
-  std::iota(pool.begin(), pool.end(), 0);
-  std::vector<NodeIndex> out(static_cast<size_t>(num_fragments));
+  // Partial Fisher–Yates over an identity permutation held in `out`; slot i
+  // is final once step i has run, so the first num_fragments are the sample.
+  out.resize(static_cast<size_t>(num_nodes));
+  std::iota(out.begin(), out.end(), 0);
   for (int i = 0; i < num_fragments; ++i) {
     int64_t j = rng.UniformInt(i, num_nodes - 1);
-    std::swap(pool[static_cast<size_t>(i)], pool[static_cast<size_t>(j)]);
-    out[static_cast<size_t>(i)] = pool[static_cast<size_t>(i)];
+    std::swap(out[static_cast<size_t>(i)], out[static_cast<size_t>(j)]);
   }
-  return out;
+  out.resize(static_cast<size_t>(num_fragments));
 }
 
-std::vector<NodeIndex> RoundRobinPlacement::Place(ObjectId object,
-                                                  int num_fragments,
-                                                  int num_nodes,
-                                                  RngStream& /*rng*/) const {
+void RoundRobinPlacement::Place(ObjectId object, int num_fragments,
+                                int num_nodes, RngStream& /*rng*/,
+                                std::vector<NodeIndex>& out) const {
   WT_CHECK(num_fragments <= num_nodes);
-  std::vector<NodeIndex> out(static_cast<size_t>(num_fragments));
+  out.resize(static_cast<size_t>(num_fragments));
   NodeIndex start = static_cast<NodeIndex>(object % num_nodes);
   for (int i = 0; i < num_fragments; ++i) {
     out[static_cast<size_t>(i)] =
         static_cast<NodeIndex>((start + i) % num_nodes);
   }
-  return out;
 }
 
 CopysetPlacement::CopysetPlacement(int scatter_width, uint64_t seed)
@@ -74,10 +70,9 @@ const std::vector<std::vector<NodeIndex>>& CopysetPlacement::CopysetsFor(
   return cache_.back();
 }
 
-std::vector<NodeIndex> CopysetPlacement::Place(ObjectId object,
-                                               int num_fragments,
-                                               int num_nodes,
-                                               RngStream& rng) const {
+void CopysetPlacement::Place(ObjectId object, int num_fragments,
+                             int num_nodes, RngStream& rng,
+                             std::vector<NodeIndex>& out) const {
   WT_CHECK(num_fragments <= num_nodes);
   const auto& sets = CopysetsFor(num_nodes, num_fragments);
   // Objects land on copysets uniformly; use the rng so Random-placement
@@ -85,7 +80,7 @@ std::vector<NodeIndex> CopysetPlacement::Place(ObjectId object,
   size_t pick = static_cast<size_t>(
       rng.UniformInt(0, static_cast<int64_t>(sets.size()) - 1));
   (void)object;
-  return sets[pick];
+  out.assign(sets[pick].begin(), sets[pick].end());
 }
 
 Result<std::unique_ptr<PlacementPolicy>> PlacementPolicy::Create(

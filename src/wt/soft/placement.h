@@ -28,11 +28,12 @@ class PlacementPolicy {
  public:
   virtual ~PlacementPolicy() = default;
 
-  /// Returns `num_fragments` distinct node indices in [0, num_nodes) for
-  /// `object`. Requires num_fragments <= num_nodes.
-  virtual std::vector<NodeIndex> Place(ObjectId object, int num_fragments,
-                                       int num_nodes,
-                                       RngStream& rng) const = 0;
+  /// Replaces the contents of `out` with `num_fragments` distinct node
+  /// indices in [0, num_nodes) for `object`. Requires num_fragments <=
+  /// num_nodes. The buffer is the caller's, so placing many objects
+  /// allocates nothing once it has grown.
+  virtual void Place(ObjectId object, int num_fragments, int num_nodes,
+                     RngStream& rng, std::vector<NodeIndex>& out) const = 0;
 
   /// Stable identifier used by configs and the DSL ("random",
   /// "round_robin", "copyset").
@@ -48,8 +49,8 @@ class PlacementPolicy {
 /// Uniform random choice of `num_fragments` distinct nodes per object.
 class RandomPlacement final : public PlacementPolicy {
  public:
-  std::vector<NodeIndex> Place(ObjectId object, int num_fragments,
-                               int num_nodes, RngStream& rng) const override;
+  void Place(ObjectId object, int num_fragments, int num_nodes,
+             RngStream& rng, std::vector<NodeIndex>& out) const override;
   std::string name() const override { return "random"; }
   std::unique_ptr<PlacementPolicy> Clone() const override {
     return std::make_unique<RandomPlacement>(*this);
@@ -60,8 +61,8 @@ class RandomPlacement final : public PlacementPolicy {
 /// wrapping around — the classic primary + successors layout.
 class RoundRobinPlacement final : public PlacementPolicy {
  public:
-  std::vector<NodeIndex> Place(ObjectId object, int num_fragments,
-                               int num_nodes, RngStream& rng) const override;
+  void Place(ObjectId object, int num_fragments, int num_nodes,
+             RngStream& rng, std::vector<NodeIndex>& out) const override;
   std::string name() const override { return "round_robin"; }
   std::unique_ptr<PlacementPolicy> Clone() const override {
     return std::make_unique<RoundRobinPlacement>(*this);
@@ -75,8 +76,8 @@ class RoundRobinPlacement final : public PlacementPolicy {
 class CopysetPlacement final : public PlacementPolicy {
  public:
   explicit CopysetPlacement(int scatter_width = 2, uint64_t seed = 42);
-  std::vector<NodeIndex> Place(ObjectId object, int num_fragments,
-                               int num_nodes, RngStream& rng) const override;
+  void Place(ObjectId object, int num_fragments, int num_nodes,
+             RngStream& rng, std::vector<NodeIndex>& out) const override;
   std::string name() const override { return "copyset"; }
   std::unique_ptr<PlacementPolicy> Clone() const override {
     return std::make_unique<CopysetPlacement>(*this);

@@ -19,9 +19,9 @@ StorageService::StorageService(const StorageServiceConfig& config,
   int nf = scheme_->num_fragments();
   fragments_.resize(static_cast<size_t>(config.num_users));
   by_node_.resize(static_cast<size_t>(config.num_nodes));
+  std::vector<NodeIndex> nodes;
   for (int64_t o = 0; o < config.num_users; ++o) {
-    std::vector<NodeIndex> nodes =
-        placement_->Place(o, nf, config.num_nodes, rng);
+    placement_->Place(o, nf, config.num_nodes, rng, nodes);
     WT_DCHECK(static_cast<int>(nodes.size()) == nf);
     auto& frags = fragments_[static_cast<size_t>(o)];
     frags.reserve(static_cast<size_t>(nf));
@@ -46,38 +46,6 @@ int64_t StorageService::CountUnavailable(
   int64_t count = 0;
   for (int64_t o = 0; o < num_objects(); ++o) {
     if (!Available(o, node_up)) ++count;
-  }
-  return count;
-}
-
-bool StorageService::AnyUnavailable(const std::vector<bool>& node_up) const {
-  // Only objects touching a down node can be unavailable; iterate those.
-  // Visited objects may repeat across down nodes; the per-object check is
-  // cheap (n fragment lookups), so no dedup pass is needed.
-  for (NodeIndex n = 0; n < config_.num_nodes; ++n) {
-    if (node_up[static_cast<size_t>(n)]) continue;
-    for (ObjectId o : by_node_[static_cast<size_t>(n)]) {
-      if (!Available(o, node_up)) return true;
-    }
-  }
-  return false;
-}
-
-bool StorageService::AnyNotDurable(const std::vector<bool>& node_up) const {
-  for (NodeIndex n = 0; n < config_.num_nodes; ++n) {
-    if (node_up[static_cast<size_t>(n)]) continue;
-    for (ObjectId o : by_node_[static_cast<size_t>(n)]) {
-      if (!scheme_->Durable(UpFragments(o, node_up))) return true;
-    }
-  }
-  return false;
-}
-
-int64_t StorageService::CountNotDurable(
-    const std::vector<bool>& node_up) const {
-  int64_t count = 0;
-  for (int64_t o = 0; o < num_objects(); ++o) {
-    if (!scheme_->Durable(UpFragments(o, node_up))) ++count;
   }
   return count;
 }

@@ -74,17 +74,6 @@ class StorageService {
   /// Number of unavailable objects under the given liveness vector.
   int64_t CountUnavailable(const std::vector<bool>& node_up) const;
 
-  /// Early-exit check used by Monte-Carlo trials: true iff at least one
-  /// object is unavailable.
-  bool AnyUnavailable(const std::vector<bool>& node_up) const;
-
-  /// True iff at least one object lost its data entirely (scheme
-  /// durability rule, e.g. zero live replicas).
-  bool AnyNotDurable(const std::vector<bool>& node_up) const;
-
-  /// Number of objects whose data is gone under the liveness vector.
-  int64_t CountNotDurable(const std::vector<bool>& node_up) const;
-
   /// --- mutation API for the repair manager ---
 
   /// Marks every fragment on `node` dead. Returns the affected objects.

@@ -9,6 +9,14 @@
 namespace wt {
 namespace {
 
+// One placement into a fresh buffer.
+std::vector<NodeIndex> Placed(const PlacementPolicy& policy, ObjectId object,
+                              int n, int num_nodes, RngStream& rng) {
+  std::vector<NodeIndex> nodes;
+  policy.Place(object, n, num_nodes, rng, nodes);
+  return nodes;
+}
+
 // Every policy must return the requested number of distinct in-range nodes.
 class PlacementDistinctnessTest
     : public ::testing::TestWithParam<const char*> {};
@@ -17,10 +25,13 @@ TEST_P(PlacementDistinctnessTest, ReturnsDistinctNodesInRange) {
   auto policy = PlacementPolicy::Create(GetParam());
   ASSERT_TRUE(policy.ok());
   RngStream rng(5);
+  // One buffer for every call: each Place must replace what the last left,
+  // whether the cluster or the fragment count grew or shrank.
+  std::vector<NodeIndex> nodes;
   for (int num_nodes : {5, 10, 30}) {
     for (int n : {1, 3, 5}) {
       for (ObjectId o = 0; o < 50; ++o) {
-        auto nodes = (*policy)->Place(o, n, num_nodes, rng);
+        (*policy)->Place(o, n, num_nodes, rng, nodes);
         ASSERT_EQ(nodes.size(), static_cast<size_t>(n));
         std::set<NodeIndex> uniq(nodes.begin(), nodes.end());
         EXPECT_EQ(uniq.size(), nodes.size()) << "duplicate replica node";
@@ -40,16 +51,16 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, PlacementDistinctnessTest,
 TEST(RoundRobinTest, ContiguousWindowFromObjectId) {
   RoundRobinPlacement rr;
   RngStream rng(1);
-  auto nodes = rr.Place(/*object=*/7, /*n=*/3, /*num_nodes=*/10, rng);
+  auto nodes = Placed(rr, /*object=*/7, /*n=*/3, /*num_nodes=*/10, rng);
   EXPECT_EQ(nodes, (std::vector<NodeIndex>{7, 8, 9}));
-  nodes = rr.Place(9, 3, 10, rng);
+  nodes = Placed(rr, 9, 3, 10, rng);
   EXPECT_EQ(nodes, (std::vector<NodeIndex>{9, 0, 1}));  // wraps
 }
 
 TEST(RoundRobinTest, DeterministicAcrossCalls) {
   RoundRobinPlacement rr;
   RngStream r1(1), r2(999);
-  EXPECT_EQ(rr.Place(13, 5, 30, r1), rr.Place(13, 5, 30, r2));
+  EXPECT_EQ(Placed(rr, 13, 5, 30, r1), Placed(rr, 13, 5, 30, r2));
 }
 
 TEST(RandomTestPlacement, CoversAllNodesOverManyObjects) {
@@ -57,7 +68,7 @@ TEST(RandomTestPlacement, CoversAllNodesOverManyObjects) {
   RngStream rng(3);
   std::set<NodeIndex> seen;
   for (ObjectId o = 0; o < 500; ++o) {
-    for (NodeIndex n : random.Place(o, 3, 10, rng)) seen.insert(n);
+    for (NodeIndex n : Placed(random, o, 3, 10, rng)) seen.insert(n);
   }
   EXPECT_EQ(seen.size(), 10u);
 }
@@ -68,7 +79,7 @@ TEST(RandomTestPlacement, MarginalsAreUniform) {
   std::vector<int> counts(10, 0);
   const int kObjects = 30000;
   for (ObjectId o = 0; o < kObjects; ++o) {
-    for (NodeIndex n : random.Place(o, 3, 10, rng)) {
+    for (NodeIndex n : Placed(random, o, 3, 10, rng)) {
       ++counts[static_cast<size_t>(n)];
     }
   }
@@ -84,9 +95,9 @@ TEST(CopysetTest, FewDistinctReplicaSets) {
   RngStream rng(5);
   std::set<std::set<NodeIndex>> copyset_sets, random_sets;
   for (ObjectId o = 0; o < 2000; ++o) {
-    auto c = copyset.Place(o, 3, 30, rng);
+    auto c = Placed(copyset, o, 3, 30, rng);
     copyset_sets.insert(std::set<NodeIndex>(c.begin(), c.end()));
-    auto r = random.Place(o, 3, 30, rng);
+    auto r = Placed(random, o, 3, 30, rng);
     random_sets.insert(std::set<NodeIndex>(r.begin(), r.end()));
   }
   // Copyset: ~scatter_width/(n-1) permutations x 10 groups = ~10 sets.
@@ -109,7 +120,7 @@ TEST(PlacementFactoryTest, CloneMatchesOriginal) {
   auto rr = PlacementPolicy::Create("round_robin").value();
   auto clone = rr->Clone();
   RngStream rng(1);
-  EXPECT_EQ(clone->Place(4, 3, 10, rng), (std::vector<NodeIndex>{4, 5, 6}));
+  EXPECT_EQ(Placed(*clone, 4, 3, 10, rng), (std::vector<NodeIndex>{4, 5, 6}));
   EXPECT_EQ(clone->name(), "round_robin");
 }
 

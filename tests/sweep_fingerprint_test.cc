@@ -22,6 +22,10 @@
 #include <vector>
 
 #include "wt/core/orchestrator.h"
+#include "wt/core/wind_tunnel.h"
+#include "wt/query/builtin_sims.h"
+#include "wt/query/executor.h"
+#include "wt/scenario/scenario.h"
 #include "wt/sim/random.h"
 #include "wt/soft/availability_dynamic.h"
 
@@ -193,6 +197,40 @@ TEST(SweepFingerprintTest, ReplicateHeavySweepIsByteIdenticalAcrossWorkers) {
                            << workers;
     }
     EXPECT_EQ(fp, kGoldenSeed5Reps8) << "workers=" << workers;
+  }
+}
+
+// The paper's Figure 1: all 72 static Monte-Carlo points of the committed
+// scenarios/fig1_unavailability.json at its own seed, swept through a
+// WindTunnel like `wtq --scenario`. The golden was captured from the
+// per-user scan estimator (one StorageService per placement sample,
+// CountUnavailable per hit trial) before it was rewritten to collapse
+// users into distinct replica sets. The rewrite keeps every RNG draw and
+// counts users exactly, so every metric bit must survive it.
+constexpr const char* kGoldenFig1Grid = "2416a05ee858c33e";
+
+TEST(SweepFingerprintTest, Fig1GridMatchesPerUserScanEstimator) {
+  auto path = scenario::FindScenarioPath("fig1_unavailability");
+  ASSERT_TRUE(path.ok()) << path.status().ToString();
+  auto spec = scenario::LoadScenarioFile(*path);
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  ASSERT_TRUE(spec->has_seed);
+  auto space = BuildQuerySpace(spec->query);
+  ASSERT_TRUE(space.ok()) << space.status().ToString();
+  for (int workers : {1, 8}) {
+    WindTunnelOptions options;
+    options.num_workers = workers;
+    options.seed = spec->seed;
+    WindTunnel tunnel(options);
+    ASSERT_TRUE(RegisterBuiltinSimulations(&tunnel).ok());
+    auto records = tunnel.RunSweep("fig1", *space, spec->query.simulation,
+                                   spec->query.constraints,
+                                   spec->query.hints,
+                                   spec->query.scenario_hash);
+    ASSERT_TRUE(records.ok()) << records.status().ToString();
+    ASSERT_EQ(records->size(), 72u);
+    EXPECT_EQ(FingerprintRecords(*records), kGoldenFig1Grid)
+        << "workers=" << workers;
   }
 }
 

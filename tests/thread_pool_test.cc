@@ -165,12 +165,14 @@ TEST(ThreadPoolTest, ConcurrentParallelForsWithInterleavedSubmits) {
   constexpr size_t kN = 1500;
   std::atomic<int> queue_count{0};
   std::atomic<bool> stop{false};
+  // Submits at least once even if the callers finish before this thread
+  // is first scheduled, which a loaded host can do.
   std::thread submitter([&] {
-    while (!stop.load(std::memory_order_relaxed)) {
+    do {
       pool.Submit(
           [&queue_count] { queue_count.fetch_add(1, std::memory_order_relaxed); });
       std::this_thread::yield();
-    }
+    } while (!stop.load(std::memory_order_relaxed));
   });
   std::vector<std::thread> callers;
   std::vector<std::vector<std::atomic<int>>> hits(kCallers);
