@@ -94,12 +94,6 @@ struct BenchEntry {
 
 inline std::string BenchCommit() { return obs::GitCommitOrUnknown(); }
 
-/// `s` as a JSON string literal, quotes included, escaped by the shared
-/// serializer.
-inline std::string JsonString(const std::string& s) {
-  return json::JsonValue::Str(s).Serialize();
-}
-
 /// Writes BENCH_<bench_name>.json; returns the path written (empty on
 /// failure — benches report but never fail on a read-only filesystem).
 /// An oversubscription warning (num_workers > hardware threads) is added
@@ -113,7 +107,7 @@ inline std::string WriteBenchJson(const std::string& bench_name,
   FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return "";
   // Host/toolchain provenance: absolute numbers only compare within one
-  // (machine, toolchain) pair. Every string field goes through JsonString:
+  // (machine, toolchain) pair. Every string field goes through json::Quote:
   // a hostname, CPU model, commit or warning may hold any character.
   const obs::RunManifest host = obs::CollectRunManifest(0, "");
   int max_workers = 0;
@@ -130,21 +124,21 @@ inline std::string WriteBenchJson(const std::string& bench_name,
     warnings.emplace_back(buf);
   }
   std::fprintf(f, "{\n  \"bench\": %s,\n  \"commit\": %s,\n",
-               JsonString(bench_name).c_str(),
-               JsonString(BenchCommit()).c_str());
+               json::Quote(bench_name).c_str(),
+               json::Quote(BenchCommit()).c_str());
   std::fprintf(f, "  \"schema_version\": 3,\n");
   std::fprintf(f,
                "  \"host\": {\"compiler\": %s, \"build_type\": %s, "
                "\"cpu_model\": %s, \"hardware_threads\": %d, "
                "\"hostname\": %s},\n",
-               JsonString(host.compiler).c_str(),
-               JsonString(host.build_type).c_str(),
-               JsonString(host.cpu_model).c_str(), host.hardware_threads,
-               JsonString(host.hostname).c_str());
+               json::Quote(host.compiler).c_str(),
+               json::Quote(host.build_type).c_str(),
+               json::Quote(host.cpu_model).c_str(), host.hardware_threads,
+               json::Quote(host.hostname).c_str());
   if (!warnings.empty()) {
     std::fprintf(f, "  \"warnings\": [\n");
     for (size_t i = 0; i < warnings.size(); ++i) {
-      std::fprintf(f, "    %s%s\n", JsonString(warnings[i]).c_str(),
+      std::fprintf(f, "    %s%s\n", json::Quote(warnings[i]).c_str(),
                    i + 1 < warnings.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
@@ -155,7 +149,7 @@ inline std::string WriteBenchJson(const std::string& bench_name,
     std::fprintf(f,
                  "    {\"name\": %s, \"wall_seconds\": %.6f, "
                  "\"events_per_sec\": %.1f",
-                 JsonString(e.name).c_str(), e.wall_seconds, e.events_per_sec);
+                 json::Quote(e.name).c_str(), e.wall_seconds, e.events_per_sec);
     if (e.points_per_sec > 0.0) {
       std::fprintf(f, ", \"points_per_sec\": %.1f", e.points_per_sec);
     }

@@ -129,30 +129,6 @@ bool JsonValue::Insert(const std::string& key, JsonValue v) {
 
 namespace {
 
-void AppendEscaped(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':  out->append("\\\""); break;
-      case '\\': out->append("\\\\"); break;
-      case '\b': out->append("\\b"); break;
-      case '\f': out->append("\\f"); break;
-      case '\n': out->append("\\n"); break;
-      case '\r': out->append("\\r"); break;
-      case '\t': out->append("\\t"); break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
 void AppendNumber(double d, std::string* out) {
   // Shortest representation that round-trips (to_chars general form).
   char buf[32];
@@ -179,7 +155,7 @@ void SerializeTo(const JsonValue& v, std::string* out) {
       }
       break;
     case JsonKind::kString:
-      AppendEscaped(v.AsString(), out);
+      out->append(Quote(v.AsString()));
       break;
     case JsonKind::kArray: {
       out->push_back('[');
@@ -196,7 +172,7 @@ void SerializeTo(const JsonValue& v, std::string* out) {
       for (const std::string& key : v.ObjectKeys()) {
         if (!first) out->push_back(',');
         first = false;
-        AppendEscaped(key, out);
+        out->append(Quote(key));
         out->push_back(':');
         SerializeTo(*v.Find(key), out);
       }
@@ -529,6 +505,32 @@ class Parser {
 };
 
 }  // namespace
+
+std::string Quote(std::string_view s) {
+  std::string out = "\"";
+  out.reserve(s.size() + 2);
+  for (char c : s) {
+    switch (c) {
+      case '"':  out.append("\\\""); break;
+      case '\\': out.append("\\\\"); break;
+      case '\b': out.append("\\b"); break;
+      case '\f': out.append("\\f"); break;
+      case '\n': out.append("\\n"); break;
+      case '\r': out.append("\\r"); break;
+      case '\t': out.append("\\t"); break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out.append(buf);
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  out.push_back('"');
+  return out;
+}
 
 std::string JsonValue::Serialize() const {
   std::string out;

@@ -1,12 +1,12 @@
-// Strict JSON reader (DESIGN.md §9).
+// Strict JSON reader and string quoter (DESIGN.md §9).
 //
-// The tree has long had JSON *writers* (trace/metrics exporters, bench
-// json) and a syntax-only checker (wt::obs::ValidateJson), but nothing
-// that reads JSON back. Scenario files (scenarios/*.json) made a reader
-// necessary; this is the project's ONE such parser — wtlint's
-// scenario/single-parser rule keeps ad-hoc parsers from sprouting
-// elsewhere. It is a strict RFC 8259 recursive-descent parser building a
-// small DOM:
+// This is the project's ONE JSON parser: scenario files, wtlint's layer
+// config and the tests that check every exporter's output all read
+// through ParseJson, and wtlint's scenario/single-parser rule keeps
+// ad-hoc scenario parsers from sprouting elsewhere. The exporters (trace,
+// metrics, manifest, BENCH json, wtlint --json) print their own layouts
+// but write every string through Quote. The reader is a strict RFC 8259
+// recursive-descent parser building a small DOM:
 //
 //  * strict: no comments, no trailing commas, no unquoted keys, exactly
 //    one top-level value; errors carry line:column of the first violation;
@@ -113,6 +113,11 @@ class JsonValue {
   std::vector<std::string> keys_;
   std::map<std::string, JsonValue> obj_;
 };
+
+/// `s` as a JSON string literal, quotes included. Quote and backslash are
+/// backslash-escaped, \b \f \n \r \t get their short escapes, other
+/// control bytes become \u00XX, and every other byte passes through.
+std::string Quote(std::string_view s);
 
 /// Parses exactly one JSON value (plus surrounding whitespace).
 /// Errors are Status::ParseError with "line:col: message".

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <thread>
 
+#include "wt/common/json.h"
 #include "wt/common/string_util.h"
 #include "wt/obs/wallclock.h"
 
@@ -15,22 +16,6 @@ namespace wt {
 namespace obs {
 
 namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += StrFormat("\\u%04x", c);
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
 
 std::string DetectCompiler() {
 #if defined(__clang__)
@@ -144,8 +129,8 @@ std::string ManifestToJson(const RunManifest& m, int indent) {
   const std::string field_pad = pad + "  ";
   std::string out = "{\n";
   auto field = [&](const char* key, const std::string& value, bool last) {
-    out += field_pad + StrFormat("\"%s\": \"%s\"%s\n", key,
-                                 JsonEscape(value).c_str(), last ? "" : ",");
+    out += field_pad + StrFormat("\"%s\": %s%s\n", key,
+                                 json::Quote(value).c_str(), last ? "" : ",");
   };
   out += field_pad + StrFormat("\"seed\": %llu,\n",
                                static_cast<unsigned long long>(m.seed));

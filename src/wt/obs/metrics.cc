@@ -2,54 +2,18 @@
 
 #include <algorithm>
 
+#include "wt/common/json.h"
 #include "wt/common/string_util.h"
 
 namespace wt {
 namespace obs {
 
-namespace {
-
-// Minimal JSON string escape for metric names (which are code-chosen
-// identifiers, but fail safe anyway).
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 std::string MetricsSnapshot::ToJson() const {
   std::string out = "{\n  \"metrics\": [\n";
   for (size_t i = 0; i < entries.size(); ++i) {
     const MetricsSnapshotEntry& e = entries[i];
-    out += StrFormat("    {\"name\": \"%s\", \"kind\": \"%s\", \"value\": %lld",
-                     JsonEscape(e.name).c_str(), e.kind.c_str(),
+    out += StrFormat("    {\"name\": %s, \"kind\": \"%s\", \"value\": %lld",
+                     json::Quote(e.name).c_str(), e.kind.c_str(),
                      static_cast<long long>(e.value));
     if (e.kind == "latency") {
       out += StrFormat(

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "wt/common/json.h"
 #include "wt/common/string_util.h"
 
 namespace wt {
@@ -20,22 +21,6 @@ struct TlsBufferCache {
   void* buffer = nullptr;
 };
 thread_local TlsBufferCache tls_cache;
-
-std::string JsonEscapeC(const char* s) {
-  std::string out;
-  for (const char* p = s; *p != '\0'; ++p) {
-    char c = *p;
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += StrFormat("\\u%04x", c);
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -160,22 +145,22 @@ std::string TraceEmitter::ToJson() const {
     if (buf->label != nullptr) {
       emit(StrFormat("{\"ph\": \"M\", \"pid\": 1, \"tid\": %u, "
                      "\"name\": \"thread_name\", \"args\": {\"name\": "
-                     "\"%s\"}}",
-                     buf->tid, JsonEscapeC(buf->label).c_str()));
+                     "%s}}",
+                     buf->tid, json::Quote(buf->label).c_str()));
     }
     for (const TraceEvent& ev : buf->events) {
       std::string line = StrFormat(
-          "{\"ph\": \"%c\", \"pid\": 1, \"tid\": %u, \"cat\": \"%s\", "
-          "\"name\": \"%s\", \"ts\": %lld",
-          ev.phase, buf->tid, JsonEscapeC(ev.cat).c_str(),
-          JsonEscapeC(ev.name).c_str(), static_cast<long long>(ev.ts_us));
+          "{\"ph\": \"%c\", \"pid\": 1, \"tid\": %u, \"cat\": %s, "
+          "\"name\": %s, \"ts\": %lld",
+          ev.phase, buf->tid, json::Quote(ev.cat).c_str(),
+          json::Quote(ev.name).c_str(), static_cast<long long>(ev.ts_us));
       if (ev.phase == 'X') {
         line += StrFormat(", \"dur\": %lld",
                           static_cast<long long>(ev.dur_us));
       }
       if (ev.arg_name != nullptr) {
-        line += StrFormat(", \"args\": {\"%s\": %lld}",
-                          JsonEscapeC(ev.arg_name).c_str(),
+        line += StrFormat(", \"args\": {%s: %lld}",
+                          json::Quote(ev.arg_name).c_str(),
                           static_cast<long long>(ev.arg_value));
       }
       line += "}";

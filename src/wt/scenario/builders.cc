@@ -7,10 +7,8 @@
 // the builder meaningful — picking failure_model/weibull_afr without an
 // AFR is a mistake worth rejecting loudly. The ablation family holds
 // draft transformers: set_params, drop_dimensions, override_explore.
-//
-// Every registration below is a single Register call with literal family
-// and name strings — wtlint's scenario/builder-name rule greps exactly
-// this shape, so keep registrations in this form.
+// Register rejects a bad or duplicate name, and ScenarioRegistry::Global()
+// checks that every registration below succeeds.
 
 #include <string>
 #include <vector>

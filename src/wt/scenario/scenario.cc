@@ -1,7 +1,6 @@
 #include "wt/scenario/scenario.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -18,17 +17,18 @@ namespace scenario {
 
 namespace {
 
+// The naming contract for builder, scenario and ablation names:
+// [a-z][a-z0-9_]*, with no trailing or doubled '_'.
 bool IsSnakeCase(const std::string& s) {
-  if (s.empty() || !std::islower(static_cast<unsigned char>(s[0]))) {
+  if (s.empty() || s.front() < 'a' || s.front() > 'z' || s.back() == '_') {
     return false;
   }
   for (char c : s) {
-    if (!std::islower(static_cast<unsigned char>(c)) &&
-        !std::isdigit(static_cast<unsigned char>(c)) && c != '_') {
+    if (!((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '_')) {
       return false;
     }
   }
-  return true;
+  return s.find("__") == std::string::npos;
 }
 
 // Converts a JSON scalar to a Value compatible with the dimension's

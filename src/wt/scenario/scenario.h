@@ -35,8 +35,7 @@
 //
 // Builders. Each of the four model families holds named builders
 // (registered in builders.cc; names are unique snake_case per family —
-// enforced here at registration and by wtlint's scenario/builder-name
-// rule at the source level). A family object's "builder" key picks one;
+// enforced here at registration). A family object's "builder" key picks one;
 // the remaining keys are its config. Built-in builders emit fixed
 // dimensions, each validated against the simulation's DimensionSpec
 // table (name declared, type compatible, family matches the builder's).
@@ -114,10 +113,11 @@ using BuilderFn =
 
 /// Registry of named builders per family. Families are fixed
 /// ("topology", "failure_model", "placement", "workload_mix",
-/// "ablation"); builder names must be unique snake_case within their
-/// family. The global instance carries the built-ins from builders.cc;
-/// tests and embedders may register more (setup-phase only — the
-/// registry is not synchronized against concurrent mutation).
+/// "ablation"); builder names must be unique snake_case ([a-z][a-z0-9_]*,
+/// no trailing or doubled '_') within their family. The global instance
+/// carries the built-ins from builders.cc; tests and embedders may
+/// register more (setup-phase only — the registry is not synchronized
+/// against concurrent mutation).
 class ScenarioRegistry {
  public:
   /// The five family names, in canonical order.

@@ -61,7 +61,13 @@ Interval WilsonInterval(int64_t successes, int64_t n, double confidence) {
   double center = (phat + z2 / (2 * nn)) / denom;
   double half =
       z * std::sqrt(phat * (1 - phat) / nn + z2 / (4 * nn * nn)) / denom;
-  return {std::max(0.0, center - half), std::min(1.0, center + half)};
+  // At 0 or n successes one endpoint is exactly 0 or 1, but center - half
+  // and center + half round to within ~1e-16 of it. Return it exactly, so
+  // all failures never lie EntirelyAbove(0) nor all successes
+  // EntirelyBelow(1).
+  const double lo = successes == 0 ? 0.0 : std::max(0.0, center - half);
+  const double hi = successes == n ? 1.0 : std::min(1.0, center + half);
+  return {lo, hi};
 }
 
 double HoeffdingHalfWidth(int64_t n, double delta) {

@@ -30,7 +30,8 @@ Interval MeanConfidenceInterval(double mean, double stderr_mean,
 
 /// Wilson score interval for a binomial proportion: `successes` out of `n`
 /// trials at the given confidence. Well-behaved for p near 0/1 — exactly the
-/// regime of availability probabilities.
+/// regime of availability probabilities. The lower end is exactly 0 at 0
+/// successes and the upper end exactly 1 at n successes.
 Interval WilsonInterval(int64_t successes, int64_t n,
                         double confidence = 0.95);
 

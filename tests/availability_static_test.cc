@@ -200,10 +200,7 @@ TEST(StaticAvailabilityOracle, Fig1GridMatchesClosedForms) {
         std::max<int64_t>(1, static_cast<int64_t>(effective_trials));
     const Interval ci = WilsonInterval(
         std::llround(p_hat * static_cast<double>(n_eff)), n_eff, confidence);
-    // WilsonInterval's endpoints at 0 or n hits are exact only up to
-    // rounding (the lower end comes out near 1e-18 at 0 hits).
-    constexpr double kRounding = 1e-12;
-    EXPECT_TRUE(ci.lo - kRounding <= exact && exact <= ci.hi + kRounding)
+    EXPECT_TRUE(ci.Contains(exact))
         << r.point.ToString() << ": estimate " << p_hat << " exact " << exact
         << " Wilson [" << ci.lo << ", " << ci.hi << "] at n_eff " << n_eff;
 

@@ -1,6 +1,7 @@
 // BENCH_*.json must stay valid JSON whatever the host reports: every
-// string field goes through the shared serializer, so quotes and
-// backslashes in a warning or commit id round-trip through json::ParseJson.
+// string field goes through json::Quote, so quotes, backslashes and
+// control characters in a warning or commit id round-trip through
+// json::ParseJson.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +20,8 @@ TEST(BenchJsonTest, EscapesStringFieldsAndParsesBack) {
   // Read once by the first BenchCommit() call, so set it before writing.
   ASSERT_EQ(setenv("WT_BENCH_COMMIT", "abc\"1\\2", 1), 0);
   ASSERT_EQ(setenv("WT_BENCH_JSON_DIR", ::testing::TempDir().c_str(), 1), 0);
-  const std::string warning = "quote \" backslash \\ tab \t end";
+  const std::string warning =
+      "quote \" backslash \\ tab \t newline \n unit-sep \x1f end";
   bench::BenchEntry entry;
   entry.name = "entry \"one\"";
   entry.wall_seconds = 1.5;

@@ -228,6 +228,21 @@ TEST(EarlyAbortTest, RespectsMinTrials) {
   EXPECT_EQ(monitor.Decide(), AbortDecision::kPassEarly);
 }
 
+TEST(EarlyAbortTest, AgreeingTrialsNeverFailAnEndpointSla) {
+  // p >= 1 after only successes and p <= 0 after only failures are never
+  // disproved: the Wilson interval's matching end is exactly 1 or 0.
+  for (bool success : {true, false}) {
+    BernoulliAbortMonitor monitor(success ? 1.0 : 0.0,
+                                  success ? SlaOp::kAtLeast : SlaOp::kAtMost,
+                                  0.95, 30);
+    for (int i = 1; i <= 500; ++i) {
+      monitor.Record(success);
+      ASSERT_EQ(monitor.Decide(), AbortDecision::kContinue)
+          << (success ? "successes" : "failures") << ", trial " << i;
+    }
+  }
+}
+
 TEST(EarlyAbortTest, AtMostDirectionFlips) {
   // SLA: unavailability probability <= 0.1.
   BernoulliAbortMonitor monitor(0.1, SlaOp::kAtMost, 0.95, 30);

@@ -8,8 +8,8 @@
 #include <filesystem>
 #include <string>
 
+#include "wt/common/json.h"
 #include "wt/core/wind_tunnel.h"
-#include "wt/obs/json_lint.h"
 #include "wt/obs/manifest.h"
 #include "wt/store/persistence.h"
 
@@ -36,9 +36,16 @@ TEST(ObsManifestTest, CollectFillsHostAndToolchainFacts) {
 TEST(ObsManifestTest, JsonRenderingIsValid) {
   obs::RunManifest m = obs::CollectRunManifest(7, "beef");
   m.wall_seconds = 1.25;
+  // Host facts are whatever the machine reports; any byte must survive.
+  m.hostname = "host \"q\" \\ nl\n";
+  m.cpu_model = "cpu \"q\" \\ nl\n";
+  m.scenario_hash = "scn \"q\" \\ nl\n";
   std::string json = obs::ManifestToJson(m);
-  Status valid = obs::ValidateJson(json);
-  EXPECT_TRUE(valid.ok()) << valid.ToString() << "\n" << json;
+  auto doc = json::ParseJson(json);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString() << "\n" << json;
+  EXPECT_EQ(doc->Find("hostname")->AsString(), m.hostname);
+  EXPECT_EQ(doc->Find("cpu_model")->AsString(), m.cpu_model);
+  EXPECT_EQ(doc->Find("scenario_hash")->AsString(), m.scenario_hash);
   EXPECT_NE(json.find("\"seed\": 7"), std::string::npos);
   EXPECT_NE(json.find("\"config_hash\": \"beef\""), std::string::npos);
 }

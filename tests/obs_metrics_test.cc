@@ -7,8 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "wt/common/json.h"
 #include "wt/core/orchestrator.h"
-#include "wt/obs/json_lint.h"
 #include "wt/obs/metrics.h"
 #include "wt/sim/simulator.h"
 
@@ -119,12 +119,23 @@ TEST(ObsMetricsTest, SnapshotJsonIsValidAndSorted) {
   reg.GetCounter("test.json_b")->Add(2);
   reg.GetGauge("test.json_a")->Set(1);
   reg.GetLatency("test.json_c")->Record(3.5);
+  const std::string hostile = "test.json_\"q\" \\ nl\n";
+  reg.GetCounter(hostile)->Add(4);
   obs::MetricsSnapshot snap = reg.Snapshot();
   reg.set_enabled(false);
 
-  Status valid = obs::ValidateJson(snap.ToJson());
-  EXPECT_TRUE(valid.ok()) << valid.ToString();
+  auto doc = json::ParseJson(snap.ToJson());
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
   EXPECT_FALSE(snap.ToText().empty());
+  bool saw_hostile = false;
+  const json::JsonValue& metrics = *doc->Find("metrics");
+  for (size_t i = 0; i < metrics.size(); ++i) {
+    if (metrics.At(i).Find("name")->AsString() == hostile) {
+      EXPECT_EQ(metrics.At(i).Find("value")->AsInt(), 4);
+      saw_hostile = true;
+    }
+  }
+  EXPECT_TRUE(saw_hostile);
 
   for (size_t i = 1; i < snap.entries.size(); ++i) {
     EXPECT_LT(snap.entries[i - 1].name, snap.entries[i].name);

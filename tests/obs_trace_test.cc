@@ -11,8 +11,8 @@
 #include <sstream>
 #include <string>
 
+#include "wt/common/json.h"
 #include "wt/core/orchestrator.h"
-#include "wt/obs/json_lint.h"
 #include "wt/obs/obs.h"
 #include "wt/sim/simulator.h"
 
@@ -88,7 +88,7 @@ TEST(ObsTraceTest, SweepTraceIsValidChromeJsonWithExpectedTracks) {
   t.Stop();
 
   std::string json = t.ToJson();
-  Status valid = obs::ValidateJson(json);
+  Status valid = json::ParseJson(json).status();
   ASSERT_TRUE(valid.ok()) << valid.ToString();
 
   // The acceptance tracks: sweep + per-run spans from the orchestrator,
@@ -133,7 +133,7 @@ TEST(ObsTraceTest, PrunedInstantAppearsInTrace) {
   t.Stop();
   ASSERT_TRUE(records.ok()) << records.status().ToString();
   std::string json = t.ToJson();
-  Status valid = obs::ValidateJson(json);
+  Status valid = json::ParseJson(json).status();
   ASSERT_TRUE(valid.ok()) << valid.ToString();
   EXPECT_NE(json.find("\"name\": \"pruned\""), std::string::npos);
   EXPECT_NE(json.find("\"name\": \"wavefront\""), std::string::npos);
@@ -151,9 +151,51 @@ TEST(ObsTraceTest, FullBufferDropsNewestAndCounts) {
   t.Stop();
   EXPECT_EQ(t.dropped(), 100 - 16);
   std::string json = t.ToJson();
-  Status valid = obs::ValidateJson(json);
+  Status valid = json::ParseJson(json).status();
   EXPECT_TRUE(valid.ok()) << valid.ToString();
   EXPECT_NE(json.find("\"dropped\""), std::string::npos);
+}
+
+TEST(ObsTraceTest, HostileNamesRoundTripThroughJson) {
+#if !WT_OBS_ENABLED
+  GTEST_SKIP() << "observability compiled out (-DWT_OBS=OFF)";
+#endif
+  // The emitter keeps the pointers, so the strings must outlive ToJson.
+  static const char kCat[] = "cat \"q\" \\ nl\n";
+  static const char kName[] = "name \"q\" \\ nl\n";
+  static const char kArg[] = "arg \"q\" \\ nl\n";
+  static const char kLabel[] = "label \"q\" \\ nl\n";
+  obs::TraceEmitter& t = obs::TraceEmitter::Default();
+  obs::SetThisThreadLabel(kLabel);
+  t.Start(16);
+  t.Complete(kCat, kName, 0, 1, kArg, 5);
+  t.Stop();
+  obs::SetThisThreadLabel(nullptr);
+
+  auto doc = json::ParseJson(t.ToJson());
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  const json::JsonValue& events = *doc->Find("traceEvents");
+  bool saw_label = false;
+  bool saw_span = false;
+  for (size_t i = 0; i < events.size(); ++i) {
+    const json::JsonValue& ev = events.At(i);
+    const json::JsonValue* args = ev.Find("args");
+    if (ev.Find("name")->AsString() == "thread_name") {
+      ASSERT_NE(args, nullptr);
+      EXPECT_EQ(args->Find("name")->AsString(), kLabel);
+      saw_label = true;
+    } else if (ev.Find("ph")->AsString() == "X") {
+      EXPECT_EQ(ev.Find("cat")->AsString(), kCat);
+      EXPECT_EQ(ev.Find("name")->AsString(), kName);
+      ASSERT_NE(args, nullptr);
+      ASSERT_EQ(args->ObjectKeys().size(), 1u);
+      EXPECT_EQ(args->ObjectKeys()[0], kArg);
+      EXPECT_EQ(args->Find(kArg)->AsInt(), 5);
+      saw_span = true;
+    }
+  }
+  EXPECT_TRUE(saw_label);
+  EXPECT_TRUE(saw_span);
 }
 
 TEST(ObsTraceTest, EnvObsSessionWritesBothFiles) {
@@ -186,9 +228,9 @@ TEST(ObsTraceTest, EnvObsSessionWritesBothFiles) {
   std::string metrics_json = ReadFile(metrics_path);
   ASSERT_FALSE(trace_json.empty());
   ASSERT_FALSE(metrics_json.empty());
-  Status trace_ok = obs::ValidateJson(trace_json);
+  Status trace_ok = json::ParseJson(trace_json).status();
   EXPECT_TRUE(trace_ok.ok()) << trace_ok.ToString();
-  Status metrics_ok = obs::ValidateJson(metrics_json);
+  Status metrics_ok = json::ParseJson(metrics_json).status();
   EXPECT_TRUE(metrics_ok.ok()) << metrics_ok.ToString();
   EXPECT_NE(metrics_json.find("sim.events"), std::string::npos);
   std::remove(trace_path.c_str());

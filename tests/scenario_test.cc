@@ -51,6 +51,8 @@ TEST(ScenarioRegistry, RejectsUnknownFamilyAndBadNames) {
   EXPECT_FALSE(reg.Register("not_a_family", "x", noop).ok());
   EXPECT_FALSE(reg.Register("topology", "CamelCase", noop).ok());
   EXPECT_FALSE(reg.Register("topology", "has space", noop).ok());
+  EXPECT_FALSE(reg.Register("topology", "trailing_", noop).ok());
+  EXPECT_FALSE(reg.Register("topology", "doubled__name", noop).ok());
   EXPECT_TRUE(reg.Register("topology", "ok_name", noop).ok());
 }
 
@@ -134,6 +136,11 @@ TEST(ScenarioLoad, NonSnakeCaseNameRejected) {
   auto spec = LoadScenarioText(
       R"({"scenario": "BadName", "simulation": "availability"})", "unit");
   EXPECT_FALSE(spec.ok());
+  auto doubled = LoadScenarioText(
+      R"({"scenario": "bad__name", "simulation": "availability"})", "unit");
+  ASSERT_FALSE(doubled.ok());
+  EXPECT_EQ(doubled.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(doubled.status().message().find("snake_case"), std::string::npos);
 }
 
 TEST(ScenarioLoad, ParseErrorsCiteSourceAndPosition) {

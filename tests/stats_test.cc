@@ -186,6 +186,19 @@ TEST(ConfidenceTest, WilsonIntervalProperties) {
   EXPECT_LT(all.lo, 1.0);
 }
 
+TEST(ConfidenceTest, WilsonEndpointsAreExactAtZeroAndAllSuccesses) {
+  // center -/+ half rounds near, not onto, 0 and 1 for many of these n;
+  // the endpoints must be exact.
+  for (double confidence : {0.9, 0.95, 0.99, 0.999}) {
+    for (int64_t n = 1; n <= 2000; ++n) {
+      ASSERT_EQ(WilsonInterval(0, n, confidence).lo, 0.0)
+          << "0/" << n << " at " << confidence;
+      ASSERT_EQ(WilsonInterval(n, n, confidence).hi, 1.0)
+          << n << "/" << n << " at " << confidence;
+    }
+  }
+}
+
 TEST(ConfidenceTest, WilsonNoTrials) {
   Interval i = WilsonInterval(0, 0, 0.95);
   EXPECT_DOUBLE_EQ(i.lo, 0.0);

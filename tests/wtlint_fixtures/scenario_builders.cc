@@ -1,20 +1,9 @@
-// Seeded scenario/builder-name violations. Scanned under the virtual
-// path src/wt/scenario/fixture_builders.cc, so the raw-text registration
-// scan applies — and the ParseJson call must NOT fire
-// scenario/single-parser (the scenario layer is on the allowlist).
+// scenario/single-parser negative case. Scanned under the virtual path
+// src/wt/scenario/fixture_builders.cc: the scenario layer is on the
+// allowlist, so this ParseJson call must NOT fire.
 
 namespace wt {
 namespace scenario {
-
-Status RegisterFixtureBuilders(ScenarioRegistry* registry, BuilderFn fn) {
-  WT_RETURN_IF_ERROR(registry->Register("topology", "flat_cluster", fn));
-  WT_RETURN_IF_ERROR(registry->Register(
-      "failure_model", "weibull_afr", fn));  // wrapped args: still seen
-  WT_RETURN_IF_ERROR(registry->Register("topology", "BadName", fn));
-  WT_RETURN_IF_ERROR(registry->Register("topology", "flat_cluster", fn));
-  WT_RETURN_IF_ERROR(registry->Register("topology", "Legacy", fn));  // wtlint: allow(scenario/builder-name) -- grandfathered pre-registry name
-  return Status::OK();
-}
 
 Status LoadFixture(const std::string& text) {
   return json::ParseJson(text).status();

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
-#include <map>
 #include <set>
 #include <string_view>
 
 #include "tools/wtlint/lexer.h"
+#include "wt/common/json.h"
 #include "wt/common/string_util.h"
 #include "wt/core/thread_pool.h"
 
@@ -30,7 +30,6 @@ constexpr const char* kIncludeGuard = "hygiene/include-guard";
 constexpr const char* kUnorderedSer = "hygiene/unordered-serialization";
 constexpr const char* kBadSuppression = "hygiene/bad-suppression";
 constexpr const char* kUnusedSuppression = "hygiene/unused-suppression";
-constexpr const char* kBuilderName = "scenario/builder-name";
 constexpr const char* kSingleParser = "scenario/single-parser";
 constexpr const char* kImplicitSeqCst = "concurrency/implicit-seq-cst";
 constexpr const char* kManualLock = "concurrency/manual-lock";
@@ -67,7 +66,6 @@ struct FileCtx {
   bool determinism_exempt = false;
   bool hot = false;
   bool serialization = false;
-  bool scenario = false;
   bool json_parser_exempt = false;
   bool atomic_order_scoped = false;
   bool raw_thread_allowed = false;
@@ -653,131 +651,15 @@ void CheckDeterminismFlow(const FileCtx& ctx,
 // scenario
 // ---------------------------------------------------------------------------
 
-bool IsIdentChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
-}
-
-// The naming contract for registered builders: lowercase snake_case, no
-// leading/trailing or doubled underscores.
-bool IsSnakeCase(std::string_view s) {
-  if (s.empty() || s.front() < 'a' || s.front() > 'z' || s.back() == '_') {
-    return false;
-  }
-  for (char c : s) {
-    if (!((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '_')) {
-      return false;
-    }
-  }
-  return s.find("__") == std::string_view::npos;
-}
-
-struct BuilderReg {
-  std::string family;
-  std::string name;
-  int line = 0;
-  bool named_ok = true;  // snake_case passed (set by the per-file pass)
-};
-
-// Extracts literal `Register("family", "name"` registrations from raw
-// source text. Raw, not the token stream, because the lexer drops string
-// contents; a whitespace-tolerant matcher, because clang-format wraps the
-// argument list across lines. Commented-out registrations count too —
-// delete dead registrations, don't comment them out.
-std::vector<BuilderReg> ExtractBuilderRegs(const std::string& src) {
-  std::vector<BuilderReg> regs;
-  auto skip_ws = [&](size_t k) {
-    while (k < src.size() &&
-           std::isspace(static_cast<unsigned char>(src[k])) != 0) {
-      ++k;
-    }
-    return k;
-  };
-  auto read_string = [&](size_t k, std::string* out) -> size_t {
-    // Returns one past the closing quote, or 0 if not a plain "..." literal.
-    if (k >= src.size() || src[k] != '"') return 0;
-    for (size_t e = k + 1; e < src.size() && src[e] != '\n'; ++e) {
-      if (src[e] == '\\') return 0;  // escapes never appear in builder ids
-      if (src[e] == '"') {
-        *out = src.substr(k + 1, e - k - 1);
-        return e + 1;
-      }
-    }
-    return 0;
-  };
-  constexpr std::string_view kWord = "Register";
-  int line = 1;
-  for (size_t i = 0; i < src.size(); ++i) {
-    if (src[i] == '\n') {
-      ++line;
-      continue;
-    }
-    if (src.compare(i, kWord.size(), kWord) != 0) continue;
-    if (i > 0 && IsIdentChar(src[i - 1])) continue;
-    size_t k = i + kWord.size();
-    if (k < src.size() && IsIdentChar(src[k])) continue;  // RegisterFoo(...)
-    k = skip_ws(k);
-    if (k >= src.size() || src[k] != '(') continue;
-    BuilderReg reg;
-    reg.line = line;
-    k = read_string(skip_ws(k + 1), &reg.family);
-    if (k == 0) continue;  // first argument is not a string literal
-    k = skip_ws(k);
-    if (k >= src.size() || src[k] != ',') continue;
-    if (read_string(skip_ws(k + 1), &reg.name) == 0) continue;
-    regs.push_back(std::move(reg));
-    // Keep scanning from i + 1 so the newline counter stays in sync; the
-    // matched span cannot contain another registration start.
-  }
-  return regs;
-}
-
-// Per-file scenario pass: snake_case naming + the single-parser rule.
-// Registration extraction is returned for the sequential collision pass.
-std::vector<BuilderReg> CheckScenarioLocal(const FileCtx& ctx) {
-  std::vector<BuilderReg> regs;
-  if (ctx.scenario) {
-    regs = ExtractBuilderRegs(ctx.file->content);
-    for (BuilderReg& reg : regs) {
-      for (const std::string& part : {reg.family, reg.name}) {
-        if (!IsSnakeCase(part)) {
-          ctx.Add(kBuilderName, reg.line,
-                  "builder id '" + reg.family + "/" + reg.name +
-                      "': '" + part + "' is not snake_case "
-                      "([a-z][a-z0-9_]*, no trailing or doubled '_')");
-          reg.named_ok = false;
-        }
-      }
-    }
-  }
-
-  if (!ctx.json_parser_exempt) {
-    for (const Token& t : ctx.lexed->tokens) {
-      if (t.kind == TokKind::kIdent && t.text == "ParseJson") {
-        ctx.Add(kSingleParser, t.line,
-                "ParseJson outside wt/common and wt/scenario: the strict "
-                "JSON reader is the only scenario-file parser; load files "
-                "via scenario::LoadScenarioFile");
-      }
-    }
-  }
-  return regs;
-}
-
-// builder_sites maps "family/name" -> "file:line" of the first
-// registration, accumulated across every scanned file (in path order) so
-// collisions are caught no matter which translation unit re-registers the
-// name.
-void CheckBuilderCollisions(const FileCtx& ctx,
-                            const std::vector<BuilderReg>& regs,
-                            std::map<std::string, std::string>* builder_sites) {
-  for (const BuilderReg& reg : regs) {
-    const std::string id = reg.family + "/" + reg.name;
-    const std::string site = ctx.file->path + ":" + std::to_string(reg.line);
-    auto [it, inserted] = builder_sites->emplace(id, site);
-    if (!inserted && reg.named_ok) {
-      ctx.Add(kBuilderName, reg.line,
-              "duplicate builder '" + id + "': first registered at " +
-                  it->second);
+// The strict JSON reader is the only scenario-file parser.
+void CheckSingleParser(const FileCtx& ctx) {
+  if (ctx.json_parser_exempt) return;
+  for (const Token& t : ctx.lexed->tokens) {
+    if (t.kind == TokKind::kIdent && t.text == "ParseJson") {
+      ctx.Add(kSingleParser, t.line,
+              "ParseJson outside wt/common and wt/scenario: the strict "
+              "JSON reader is the only scenario-file parser; load files "
+              "via scenario::LoadScenarioFile");
     }
   }
 }
@@ -798,7 +680,7 @@ bool KnownRuleOrFamily(const std::string& pattern) {
       kRawRandom,    kWallClock,      kSleep,          kStdFunction,
       kThrow,        kDynamicCast,    kIostream,       kNodiscard,
       kDroppedStatus, kUsingNamespace, kIncludeGuard,  kUnorderedSer,
-      kBadSuppression, kUnusedSuppression, kBuilderName, kSingleParser,
+      kBadSuppression, kUnusedSuppression, kSingleParser,
       "deps/include-cycle", "deps/layer-back-edge", "deps/unknown-module",
       kImplicitSeqCst, kManualLock, kRawThread, kThreadDetach,
       kUnorderedSink,
@@ -848,22 +730,6 @@ void ApplySuppressions(const FileCtx& ctx, std::vector<Finding>* findings) {
   }
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += StrFormat("\\u%04x", c);
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
 // Runs body(i) for i in [0, n) — on the pool when provided, else inline.
 // Bodies write only to per-index slots, so scheduling cannot reorder
 // results.
@@ -890,7 +756,6 @@ AnalysisResult Analyze(const std::vector<FileInput>& files,
   std::vector<LexedFile> lexed(n);
   std::vector<std::vector<Finding>> per_file(n);
   std::vector<std::set<std::string>> per_file_status_fns(n);
-  std::vector<std::vector<BuilderReg>> per_file_regs(n);
 
   ForEachFile(pool, n, [&](size_t i) { lexed[i] = Lex(files[i].content); });
 
@@ -905,7 +770,6 @@ AnalysisResult Analyze(const std::vector<FileInput>& files,
     ctx.hot = PathStartsWithAny(files[i].path, config.hot_paths);
     ctx.serialization =
         PathStartsWithAny(files[i].path, config.serialization_paths);
-    ctx.scenario = PathStartsWithAny(files[i].path, config.scenario_paths);
     ctx.json_parser_exempt =
         PathStartsWithAny(files[i].path, config.json_parser_allowlist);
     ctx.atomic_order_scoped =
@@ -936,17 +800,11 @@ AnalysisResult Analyze(const std::vector<FileInput>& files,
     CheckHygiene(ctx);
     CheckConcurrency(ctx);
     CheckDeterminismFlow(ctx, config.flow_sinks);
-    per_file_regs[i] = CheckScenarioLocal(ctx);
+    CheckSingleParser(ctx);
   });
 
-  // Pass 3 (sequential): cross-file checks. Files arrive sorted by path,
-  // so the "first registered at" site recorded for each builder id — and
-  // the include-graph traversal order — are deterministic.
-  std::map<std::string, std::string> builder_sites;
-  for (size_t i = 0; i < n; ++i) {
-    FileCtx ctx = make_ctx(i);
-    CheckBuilderCollisions(ctx, per_file_regs[i], &builder_sites);
-  }
+  // Pass 3 (sequential): the include graph. Files arrive sorted by path,
+  // so its traversal order is deterministic.
   CheckDependencies(files, lexed, config.layer_config, &per_file);
 
   // Pass 4 (parallel): per-file suppression resolution over the complete
@@ -988,10 +846,9 @@ std::string ResultToJson(const AnalysisResult& result) {
     out += first ? "\n" : ",\n";
     first = false;
     out += StrFormat(
-        "    {\"rule\": \"%s\", \"file\": \"%s\", \"line\": %d, "
-        "\"message\": \"%s\"}",
-        JsonEscape(f.rule).c_str(), JsonEscape(f.file).c_str(), f.line,
-        JsonEscape(f.message).c_str());
+        "    {\"rule\": %s, \"file\": %s, \"line\": %d, \"message\": %s}",
+        json::Quote(f.rule).c_str(), json::Quote(f.file).c_str(), f.line,
+        json::Quote(f.message).c_str());
   }
   out += first ? "],\n" : "\n  ],\n";
   out += "  \"suppressions\": [";
@@ -1001,10 +858,9 @@ std::string ResultToJson(const AnalysisResult& result) {
     out += first ? "\n" : ",\n";
     first = false;
     out += StrFormat(
-        "    {\"rule\": \"%s\", \"file\": \"%s\", \"line\": %d, "
-        "\"reason\": \"%s\"}",
-        JsonEscape(f.rule).c_str(), JsonEscape(f.file).c_str(), f.line,
-        JsonEscape(f.suppress_reason).c_str());
+        "    {\"rule\": %s, \"file\": %s, \"line\": %d, \"reason\": %s}",
+        json::Quote(f.rule).c_str(), json::Quote(f.file).c_str(), f.line,
+        json::Quote(f.suppress_reason).c_str());
   }
   out += first ? "]\n" : "\n  ]\n";
   out += "}\n";

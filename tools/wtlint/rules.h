@@ -25,10 +25,6 @@
 //                              iteration order could leak into artifacts
 //   hygiene/bad-suppression    wtlint suppression without a reason
 //   hygiene/unused-suppression suppression that matched no finding
-//   scenario/builder-name      a Register("family", "name", ...) builder
-//                              registration (src/wt/scenario/) whose name is
-//                              not snake_case, or whose family/name pair
-//                              collides with an earlier registration
 //   scenario/single-parser     ParseJson called outside wt/common,
 //                              wt/scenario, tools/wtlint (its own layer
 //                              config), and fuzz/ (drives the parser):
@@ -106,9 +102,6 @@ struct Config {
   // Path prefixes where unordered containers may not feed serialized output.
   std::vector<std::string> serialization_paths = {"src/wt/obs/",
                                                   "src/wt/store/"};
-  // Path prefixes holding scenario builder registrations
-  // (scenario/builder-name scans their raw text).
-  std::vector<std::string> scenario_paths = {"src/wt/scenario/"};
   // Path prefixes allowed to call the strict JSON reader directly; every
   // other caller must go through the scenario layer (scenario/single-parser).
   // tools/wtlint loads its own layers.json; fuzz/ feeds the parser corpora.
@@ -145,8 +138,8 @@ struct AnalysisResult {
 
 /// Runs every rule over `files`. Per-file passes run on `pool` when one is
 /// provided (nullptr = serial); cross-file passes (status-fn collection,
-/// builder collisions, the include graph) are sequential either way, and
-/// the result is byte-identical regardless.
+/// the include graph) are sequential either way, and the result is
+/// byte-identical regardless.
 [[nodiscard]] AnalysisResult Analyze(const std::vector<FileInput>& files,
                                      const Config& config,
                                      ThreadPool* pool = nullptr);

@@ -12,8 +12,8 @@
 //          [--serial] [paths...]
 //
 //   --root <dir>      repo root for path-relative rule config (default: .)
-//   --json            emit the strict-JSON report (self-checked against
-//                     wt::obs::ValidateJson before printing):
+//   --json            emit the strict-JSON report (self-checked with
+//                     wt::json::ParseJson before printing):
 //                       { "tool": "wtlint", "version": 2,
 //                         "files_scanned": N, "unsuppressed": N,
 //                         "suppressed": N,
@@ -23,10 +23,9 @@
 //                     every flagged Status/Result-returning declaration
 //   --changed-only    report findings only for files changed vs. git HEAD
 //                     (plus untracked files). The whole tree is still
-//                     scanned — cross-file rules (deps/, builder
-//                     collisions) need the full graph — only the report
-//                     and exit code are filtered. Made for pre-commit
-//                     hooks; see README.
+//                     scanned — cross-file rules (deps/) need the full
+//                     graph — only the report and exit code are
+//                     filtered. Made for pre-commit hooks; see README.
 //   --serial          disable the worker pool (per-file passes run on the
 //                     calling thread; output is byte-identical either way)
 //   paths...          scan exactly these files (default: the five roots)
@@ -52,9 +51,9 @@
 #include <vector>
 
 #include "tools/wtlint/rules.h"
+#include "wt/common/json.h"
 #include "wt/common/string_util.h"
 #include "wt/core/thread_pool.h"
-#include "wt/obs/json_lint.h"
 
 namespace fs = std::filesystem;
 
@@ -263,7 +262,7 @@ int main(int argc, char** argv) {
     const std::string report = wt::wtlint::ResultToJson(result);
     // The report is itself an artifact; hold it to the same bar as the
     // trace/metrics exporters.
-    const wt::Status valid = wt::obs::ValidateJson(report);
+    const wt::Status valid = wt::json::ParseJson(report).status();
     if (!valid.ok()) {
       std::fprintf(stderr, "wtlint: internal error: report is not valid "
                            "JSON: %s\n",
