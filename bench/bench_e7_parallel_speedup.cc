@@ -204,9 +204,9 @@ void SweepWallClock() {
       "to the sequential sweep's (see sweep_fingerprint_test).\n\n");
 }
 
-// Task-submission overhead: per-task Submit vs one SubmitBatch vs chunked
-// work-stealing ParallelFor, for many tiny tasks (the E7 sweep used to pay
-// the per-Submit lock + wakeup once per design point).
+// Task-submission overhead: per-task Submit vs chunked ParallelFor, for
+// many tiny tasks (the E7 sweep used to pay the per-Submit lock + wakeup
+// once per design point).
 constexpr int kTinyTasks = 1 << 14;
 
 void BM_SubmitPerTask(benchmark::State& state) {
@@ -223,24 +223,6 @@ void BM_SubmitPerTask(benchmark::State& state) {
 }
 BENCHMARK(BM_SubmitPerTask)->Arg(4);
 
-void BM_SubmitBatch(benchmark::State& state) {
-  wt::ThreadPool pool(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    std::atomic<int> count{0};
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(kTinyTasks);
-    for (int i = 0; i < kTinyTasks; ++i) {
-      tasks.push_back(
-          [&count] { count.fetch_add(1, std::memory_order_relaxed); });
-    }
-    pool.SubmitBatch(std::move(tasks));
-    pool.WaitIdle();
-    benchmark::DoNotOptimize(count.load());
-  }
-  state.SetItemsProcessed(state.iterations() * kTinyTasks);
-}
-BENCHMARK(BM_SubmitBatch)->Arg(4);
-
 void BM_ParallelForChunked(benchmark::State& state) {
   wt::ThreadPool pool(static_cast<int>(state.range(0)));
   for (auto _ : state) {
@@ -254,8 +236,9 @@ void BM_ParallelForChunked(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelForChunked)->Arg(4);
 
-// Worst-case imbalance for the stealer: all the work piles into the tail
-// of the range, so every participant but one starts empty and must steal.
+// Skewed costs for the claim counter: the work piles into the tail of the
+// range, so participants that claim cheap front chunks come back for more
+// while others are still busy in the tail.
 void BM_ParallelForImbalanced(benchmark::State& state) {
   wt::ThreadPool pool(static_cast<int>(state.range(0)));
   constexpr int kItems = 1 << 10;
@@ -264,13 +247,13 @@ void BM_ParallelForImbalanced(benchmark::State& state) {
     pool.ParallelFor(
         0, kItems,
         [&acc](size_t i) {
-          // Cost ramps with the index: the static partition is maximally
-          // unfair and stealing has to re-balance it.
+          // Cost ramps with the index: an even static split of the range
+          // would leave the last participant with most of the work.
           int64_t x = 0;
           for (size_t k = 0; k < i; ++k) x += static_cast<int64_t>(k);
           acc.fetch_add(x, std::memory_order_relaxed);
         },
-        wt::ThreadPool::ForTuning{/*grain=*/1, /*cost_hint_ns=*/0});
+        /*grain=*/1);
     benchmark::DoNotOptimize(acc.load());
   }
   state.SetItemsProcessed(state.iterations() * kItems);
@@ -315,9 +298,8 @@ BENCHMARK(BM_EventQueueChurn);
 }  // namespace
 
 int BenchMain(wt::bench::BenchContext& ctx) {
-  // A traced run (WT_TRACE, set up by the bench_main.h harness) shows work
-  // migrating between orchestrator worker lanes as chunks are claimed and
-  // stolen.
+  // A traced run (WT_TRACE, set up by the bench_main.h harness) shows how
+  // the claimed chunks spread over the orchestrator's worker lanes.
   SweepWallClock();
   benchmark::Initialize(&ctx.argc, ctx.argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -121,122 +121,6 @@ Result<std::vector<RunRecord>> RunOrchestrator::Sweep(
   manifest->scenario_hash = options_.scenario_hash;
   for (RunRecord& rec : records) rec.manifest = manifest;
 
-  // Executes one non-pruned point. Touches only records[idx] and derives
-  // randomness from (seed, run_id, replicate) — no shared mutable state, no
-  // locks, no dependence on scheduling order.
-  auto run_one = [&](size_t idx) {
-    WT_TRACE_SCOPE_ARG("orchestrator", "run", "run_id",
-                       static_cast<int64_t>(idx));
-    RunRecord& rec = records[idx];
-    if (options_.replications == 1) {
-      RngStream rng = root.Substream(static_cast<uint64_t>(idx), 0);
-      Result<MetricMap> metrics = fn(rec.point, rng);
-      if (!metrics.ok()) {
-        rec.status = RunStatus::kError;
-        rec.error = metrics.status().ToString();
-        return;
-      }
-      rec.metrics = std::move(metrics).value();
-    } else {
-      // Replicated run: aggregate each metric across independent substreams.
-      std::map<std::string, RunningStats> agg;
-      for (int rep = 0; rep < options_.replications; ++rep) {
-        RngStream rng = root.Substream(static_cast<uint64_t>(idx),
-                                       static_cast<uint64_t>(rep));
-        Result<MetricMap> metrics = fn(rec.point, rng);
-        if (!metrics.ok()) {
-          rec.status = RunStatus::kError;
-          rec.error = metrics.status().ToString();
-          return;
-        }
-        for (const auto& [name, value] : *metrics) agg[name].Add(value);
-      }
-      for (const auto& [name, stats] : agg) {
-        rec.metrics[name] = stats.mean();
-        rec.metrics[name + "_se"] = stats.stderr_mean();
-      }
-    }
-    rec.status = RunStatus::kCompleted;
-
-    auto outcomes = EvaluateConstraints(constraints, rec.metrics);
-    if (!outcomes.ok()) {
-      rec.status = RunStatus::kError;
-      rec.error = outcomes.status().ToString();
-      return;
-    }
-    rec.sla_outcomes = std::move(outcomes).value();
-    rec.sla_satisfied = AllSatisfied(rec.sla_outcomes);
-  };
-
-  // Replicate-granularity execution of one wave: each (point, replicate)
-  // pair is an independent task — the unit the pool balances — with its
-  // replicate results parked in a side array. The serial reduce below then
-  // aggregates in (point-index, replicate) order, the exact arithmetic
-  // order of the serial path in run_one, so record bytes are identical for
-  // any worker count and any steal schedule.
-  auto run_wave_replicated = [&](const std::vector<size_t>& runnable,
-                                 const ThreadPool::ForTuning& tuning,
-                                 ThreadPool& wave_pool) {
-    const size_t reps_per_point = static_cast<size_t>(options_.replications);
-    struct RepOutcome {
-      bool ok = false;
-      MetricMap metrics;
-      std::string error;
-    };
-    std::vector<RepOutcome> reps(runnable.size() * reps_per_point);
-    wave_pool.ParallelFor(
-        0, reps.size(),
-        [&](size_t t) {
-          const size_t idx = runnable[t / reps_per_point];
-          const size_t rep = t % reps_per_point;
-          WT_TRACE_SCOPE_ARG("orchestrator", "run", "run_id",
-                             static_cast<int64_t>(idx));
-          RngStream rng = root.Substream(static_cast<uint64_t>(idx),
-                                         static_cast<uint64_t>(rep));
-          Result<MetricMap> metrics = fn(records[idx].point, rng);
-          if (metrics.ok()) {
-            reps[t].ok = true;
-            reps[t].metrics = std::move(metrics).value();
-          } else {
-            reps[t].error = metrics.status().ToString();
-          }
-        },
-        tuning);
-    for (size_t k = 0; k < runnable.size(); ++k) {
-      const size_t idx = runnable[k];
-      RunRecord& rec = records[idx];
-      std::map<std::string, RunningStats> agg;
-      bool failed = false;
-      for (size_t rep = 0; rep < reps_per_point; ++rep) {
-        RepOutcome& out = reps[k * reps_per_point + rep];
-        if (!out.ok) {
-          // First failing replicate wins, as in the serial path (which
-          // never ran the later replicates at all — their results are
-          // discarded here to the same effect).
-          rec.status = RunStatus::kError;
-          rec.error = std::move(out.error);
-          failed = true;
-          break;
-        }
-        for (const auto& [name, value] : out.metrics) agg[name].Add(value);
-      }
-      if (failed) continue;
-      for (const auto& [name, stats] : agg) {
-        rec.metrics[name] = stats.mean();
-        rec.metrics[name + "_se"] = stats.stderr_mean();
-      }
-      rec.status = RunStatus::kCompleted;
-      auto outcomes = EvaluateConstraints(constraints, rec.metrics);
-      if (!outcomes.ok()) {
-        rec.status = RunStatus::kError;
-        rec.error = outcomes.status().ToString();
-        continue;
-      }
-      rec.sla_outcomes = std::move(outcomes).value();
-      rec.sla_satisfied = AllSatisfied(rec.sla_outcomes);
-    }
-  };
-
   // Effective parallelism. Workers beyond the hardware's thread count can
   // only time-slice — they add context switches and cache eviction, never
   // throughput (the measured BENCH_e7 anti-speedup) — so by default the
@@ -253,15 +137,7 @@ Result<std::vector<RunRecord>> RunOrchestrator::Sweep(
     pool = std::make_unique<ThreadPool>(effective - 1);
   }
 
-  // Scheduling cost model, fed back from the wall time of completed waves:
-  // an EWMA estimate of one task's serial cost. Drives ParallelFor's
-  // adaptive chunk sizing and lets sub-dispatch-cost wavefronts run inline
-  // on this thread, so epoch barriers cost nothing when per-run work is
-  // tiny. Wall time steers *scheduling only* — results are a pure function
-  // of (seed, run_id, replicate) regardless of which path executes a task.
-  const int replications = options_.replications;
-  int64_t est_task_ns = 0;
-
+  const size_t reps = static_cast<size_t>(options_.replications);
   size_t wave_index = 0;
   for (const std::vector<size_t>& wave : waves) {
     WT_TRACE_SCOPE_ARG("orchestrator", "wavefront", "index",
@@ -284,37 +160,63 @@ Result<std::vector<RunRecord>> RunOrchestrator::Sweep(
         runnable.push_back(idx);
       }
     }
-    // Phase 2: fan the epoch's work onto the pool at replicate granularity
-    // — a wave of P points with R replications is P*R independent tasks,
-    // each deriving its randomness from (seed, run_id, replicate). The
-    // work-stealing ParallelFor balances them; the cost hint sizes chunks
-    // and diverts tiny waves to the inline path.
-    const size_t num_tasks = runnable.size() * static_cast<size_t>(replications);
-    const int64_t wave_wall0 = obs::WallNanos();
-    bool pooled = false;
-    if (pool && num_tasks > 1) {
-      ThreadPool::ForTuning tuning;
-      tuning.cost_hint_ns = est_task_ns;
-      pooled = true;
-      if (replications == 1) {
-        pool->ParallelFor(0, runnable.size(),
-                          [&](size_t k) { run_one(runnable[k]); }, tuning);
-      } else {
-        run_wave_replicated(runnable, tuning, *pool);
-      }
+    // Phase 2: a wave of P runnable points with R replications is P*R
+    // independent (point, replicate) tasks. Task t touches only
+    // outcomes[t] and derives its randomness from (seed, run_id,
+    // replicate) — no shared mutable state, no locks, no dependence on
+    // which thread runs it or when.
+    std::vector<Result<MetricMap>> outcomes(runnable.size() * reps,
+                                            MetricMap{});
+    auto run_task = [&](size_t t) {
+      const size_t idx = runnable[t / reps];
+      WT_TRACE_SCOPE_ARG("orchestrator", "run", "run_id",
+                         static_cast<int64_t>(idx));
+      RngStream rng = root.Substream(static_cast<uint64_t>(idx),
+                                     static_cast<uint64_t>(t % reps));
+      outcomes[t] = fn(records[idx].point, rng);
+    };
+    if (pool) {
+      pool->ParallelFor(0, outcomes.size(), run_task);
     } else {
-      for (size_t idx : runnable) run_one(idx);
+      for (size_t t = 0; t < outcomes.size(); ++t) run_task(t);
     }
-    // Feed the cost model. A pooled wave's wall time under-counts serial
-    // work by up to the parallelism used; scale it back up so the estimate
-    // stays an honest per-task serial cost (upper bound under imbalance).
-    if (num_tasks > 0) {
-      const int64_t wave_ns = obs::WallNanos() - wave_wall0;
-      const int64_t serial_ns = pooled ? wave_ns * effective : wave_ns;
-      const int64_t sample = serial_ns / static_cast<int64_t>(num_tasks);
-      est_task_ns = est_task_ns == 0 ? sample : (est_task_ns + sample) / 2;
+    // Phase 3 (serial, (point, replicate) order): reduce each point's
+    // replicates. The first failing replicate wins, and the mean/_se
+    // arithmetic sees the replicates in replicate order, so record bytes
+    // are identical for any worker count and any claim schedule.
+    for (size_t k = 0; k < runnable.size(); ++k) {
+      RunRecord& rec = records[runnable[k]];
+      Result<MetricMap>* first = &outcomes[k * reps];
+      Result<MetricMap>* last = first + reps;
+      const Result<MetricMap>* failed = std::find_if(
+          first, last, [](const Result<MetricMap>& r) { return !r.ok(); });
+      if (failed != last) {
+        rec.status = RunStatus::kError;
+        rec.error = failed->status().ToString();
+        continue;
+      }
+      if (reps == 1) {
+        rec.metrics = std::move(*first).value();
+      } else {
+        std::map<std::string, RunningStats> agg;
+        for (const Result<MetricMap>* r = first; r != last; ++r) {
+          for (const auto& [name, value] : **r) agg[name].Add(value);
+        }
+        for (const auto& [name, stats] : agg) {
+          rec.metrics[name] = stats.mean();
+          rec.metrics[name + "_se"] = stats.stderr_mean();
+        }
+      }
+      auto sla = EvaluateConstraints(constraints, rec.metrics);
+      if (!sla.ok()) {
+        rec.status = RunStatus::kError;
+        rec.error = sla.status().ToString();
+        continue;
+      }
+      rec.sla_outcomes = std::move(sla).value();
+      rec.sla_satisfied = AllSatisfied(rec.sla_outcomes);
     }
-    // Phase 3 (serial, point-index order): commit this epoch's SLA failures
+    // Phase 4 (serial, point-index order): commit this epoch's SLA failures
     // to the pruner. This is the ONLY place pruner state changes, so the
     // pruned set depends on the wavefront structure alone, never on worker
     // count or completion order.

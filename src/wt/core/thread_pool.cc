@@ -25,59 +25,6 @@ const char* WorkerLabel(int i) {
   return (i >= 0 && i < kN) ? kLabels[i] : "worker";
 }
 
-// Chunk sizing targets: claims should amortize over ~250us of work, and a
-// loop whose whole estimated cost is under ~100us is cheaper inline than
-// through a single condvar wakeup.
-constexpr int64_t kTargetChunkNs = 250'000;
-constexpr int64_t kInlineTotalNs = 100'000;
-
-constexpr uint64_t PackRange(size_t lo, size_t hi) {
-  return (static_cast<uint64_t>(hi) << 32) | static_cast<uint64_t>(lo);
-}
-constexpr size_t RangeLo(uint64_t r) {
-  return static_cast<size_t>(r & 0xffffffffu);
-}
-constexpr size_t RangeHi(uint64_t r) { return static_cast<size_t>(r >> 32); }
-
-// Pops up to `grain` indices from the front of `range`. Returns false when
-// the range is empty. CAS loop: a concurrent thief may shrink hi.
-bool ClaimFront(std::atomic<uint64_t>& range, size_t grain, size_t* lo,
-                size_t* hi) {
-  uint64_t cur = range.load(std::memory_order_acquire);
-  for (;;) {
-    const size_t cur_lo = RangeLo(cur);
-    const size_t cur_hi = RangeHi(cur);
-    if (cur_lo >= cur_hi) return false;
-    const size_t take = std::min(grain, cur_hi - cur_lo);
-    if (range.compare_exchange_weak(cur, PackRange(cur_lo + take, cur_hi),
-                                    std::memory_order_acq_rel,
-                                    std::memory_order_acquire)) {
-      *lo = cur_lo;
-      *hi = cur_lo + take;
-      return true;
-    }
-  }
-}
-
-// Steals the back half of `range`. Returns false when there is nothing to
-// steal; the stolen [lo, hi) becomes the thief's own range.
-bool StealBack(std::atomic<uint64_t>& range, size_t* lo, size_t* hi) {
-  uint64_t cur = range.load(std::memory_order_acquire);
-  for (;;) {
-    const size_t cur_lo = RangeLo(cur);
-    const size_t cur_hi = RangeHi(cur);
-    if (cur_lo >= cur_hi) return false;
-    const size_t take = (cur_hi - cur_lo + 1) / 2;
-    if (range.compare_exchange_weak(cur, PackRange(cur_lo, cur_hi - take),
-                                    std::memory_order_acq_rel,
-                                    std::memory_order_acquire)) {
-      *lo = cur_hi - take;
-      *hi = cur_hi;
-      return true;
-    }
-  }
-}
-
 }  // namespace
 
 ThreadPool::ThreadPool(int num_threads) {
@@ -90,7 +37,7 @@ ThreadPool::ThreadPool(int num_threads) {
       // caller-participating ParallelFor can legitimately absorb all work
       // on a starved host) — trace consumers rely on seeing pool lanes.
       WT_TRACE_INSTANT_ARG("pool", "spawn", "worker", static_cast<int64_t>(i));
-      WorkerLoop(i);
+      WorkerLoop();
     });
   }
 }
@@ -114,21 +61,10 @@ void ThreadPool::Submit(std::function<void()> task) {
   work_cv_.notify_one();
 }
 
-void ThreadPool::SubmitBatch(std::vector<std::function<void()>> tasks) {
-  if (tasks.empty()) return;
+void ThreadPool::RunChunk(PfJob& job, size_t lo, size_t hi) {
   {
-    std::unique_lock<std::mutex> lock(mu_);
-    for (std::function<void()>& t : tasks) queue_.push_back(std::move(t));
-    obs::GaugeMaxIfEnabled("sched.queue_depth_max",
-                           static_cast<int64_t>(queue_.size()));
-  }
-  work_cv_.notify_all();
-}
-
-bool ThreadPool::RunChunk(PfJob& job, size_t lo, size_t hi) {
-  {
-    // One span per claimed chunk on the executing thread's lane — these
-    // spans are what the adaptive grain is tuned from.
+    // One span per claimed chunk on the executing thread's lane, so a
+    // trace shows how the claims spread the range over threads.
     WT_TRACE_SCOPE_ARG("orchestrator", "worker", "chunk",
                        static_cast<int64_t>(lo));
     for (size_t i = lo; i < hi; ++i) (*job.body)(job.base + i);
@@ -144,67 +80,29 @@ bool ThreadPool::RunChunk(PfJob& job, size_t lo, size_t hi) {
       job.finished = true;
     }
     job.cv.notify_all();
-    return true;
   }
-  return false;
 }
 
-void ThreadPool::Participate(PfJob& job, size_t slot) {
-  const size_t num_slots = job.ranges.size();
-  size_t lo = 0, hi = 0;
+void ThreadPool::Participate(PfJob& job) {
+  // A claim past the end only leaves the counter one grain further beyond
+  // `total`.
   for (;;) {
-    if (ClaimFront(job.ranges[slot], job.grain, &lo, &hi)) {
-      RunChunk(job, lo, hi);
-      continue;
-    }
-    // Own range drained: steal the back half of the first victim found,
-    // install it as the new own range, and keep popping. A full scan that
-    // finds nothing means all remaining work is claimed and in flight.
-    bool stole = false;
-    for (size_t v = 1; v < num_slots && !stole; ++v) {
-      const size_t victim = (slot + v) % num_slots;
-      if (StealBack(job.ranges[victim], &lo, &hi)) {
-        job.steals.fetch_add(1, std::memory_order_relaxed);
-        // Execute the first grain directly; park the rest as own range so
-        // other thieves can re-balance it.
-        const size_t run_hi = std::min(lo + job.grain, hi);
-        job.ranges[slot].store(PackRange(run_hi, hi),
-                               std::memory_order_release);
-        RunChunk(job, lo, run_hi);
-        stole = true;
-      }
-    }
-    if (!stole) return;
+    const size_t lo = job.next.fetch_add(job.grain);
+    if (lo >= job.total) return;
+    RunChunk(job, lo, std::min(lo + job.grain, job.total));
   }
 }
 
 void ThreadPool::ParallelFor(size_t begin, size_t end,
                              const std::function<void(size_t)>& body,
-                             const ForTuning& tuning) {
+                             size_t grain) {
   if (begin >= end) return;
   const size_t n = end - begin;
-  WT_CHECK(n <= 0xffffffffu);  // ranges pack into 32-bit halves
   const size_t participants = workers_.size() + 1;  // caller joins in
+  if (grain == 0) grain = std::max(size_t{1}, n / (participants * 8));
 
-  size_t grain = tuning.grain;
-  if (grain == 0) {
-    if (tuning.cost_hint_ns > 0) {
-      // ~250us of estimated work per claim, but never so coarse that the
-      // participants cannot all engage.
-      grain = static_cast<size_t>(kTargetChunkNs / tuning.cost_hint_ns);
-      grain = std::clamp(grain, size_t{1},
-                         std::max(size_t{1}, n / participants));
-    } else {
-      grain = std::max(size_t{1}, n / (participants * 8));
-    }
-  }
-
-  // Inline cutoffs: a single chunk, or a loop whose whole estimated cost
-  // is below the dispatch overhead. Tiny wavefronts take this path, which
-  // is what keeps epoch barriers from dominating sub-millisecond runs.
-  if (n <= grain ||
-      (tuning.cost_hint_ns > 0 &&
-       tuning.cost_hint_ns < kInlineTotalNs / static_cast<int64_t>(n))) {
+  // A single chunk runs inline: nothing to share, so skip the wakeups.
+  if (n <= grain) {
     for (size_t i = begin; i < end; ++i) body(i);
     obs::CountIfEnabled("sched.pf_inline", 1);
     return;
@@ -215,23 +113,10 @@ void ThreadPool::ParallelFor(size_t begin, size_t end,
   job->base = begin;
   job->total = n;
   job->grain = grain;
-  job->ranges = std::vector<std::atomic<uint64_t>>(participants);
-  // Static partition, rebalanced dynamically by stealing. Slot 0 (the
-  // caller) gets the first share so a starved pool degrades to inline
-  // execution of most of the range.
-  for (size_t p = 0; p < participants; ++p) {
-    job->ranges[p].store(PackRange(n * p / participants,
-                                   n * (p + 1) / participants),
-                         std::memory_order_relaxed);
-  }
 
-  // Wake only as many workers as there are claimable chunks beyond the
-  // caller's own share — a 2-chunk loop on a 16-thread pool must not wake
-  // 16 threads.
-  const size_t chunks_estimate = (n + grain - 1) / grain;
-  const size_t wake = std::min(workers_.size(),
-                               chunks_estimate > 0 ? chunks_estimate - 1
-                                                   : size_t{0});
+  // Wake only as many workers as there are chunks beyond the caller's
+  // first — a 2-chunk loop on a 16-thread pool must not wake 16 threads.
+  const size_t wake = std::min(workers_.size(), (n + grain - 1) / grain - 1);
   {
     std::unique_lock<std::mutex> lock(mu_);
     pf_jobs_.push_back(job);
@@ -243,7 +128,7 @@ void ThreadPool::ParallelFor(size_t begin, size_t end,
     for (size_t i = 0; i < wake; ++i) work_cv_.notify_one();
   }
 
-  Participate(*job, 0);
+  Participate(*job);
 
   {
     std::unique_lock<std::mutex> lock(job->mu);
@@ -256,8 +141,6 @@ void ThreadPool::ParallelFor(size_t begin, size_t end,
   obs::CountIfEnabled("sched.pf_jobs", 1);
   obs::CountIfEnabled("sched.pf_chunks",
                       job->chunks.load(std::memory_order_relaxed));
-  obs::CountIfEnabled("sched.pf_steals",
-                      job->steals.load(std::memory_order_relaxed));
 }
 
 void ThreadPool::WaitIdle() {
@@ -265,8 +148,7 @@ void ThreadPool::WaitIdle() {
   idle_cv_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
 }
 
-void ThreadPool::WorkerLoop(int worker_index) {
-  const size_t slot = static_cast<size_t>(worker_index) + 1;
+void ThreadPool::WorkerLoop() {
   uint64_t seen_version = 0;
   std::vector<std::shared_ptr<PfJob>> jobs;
   while (true) {
@@ -295,7 +177,7 @@ void ThreadPool::WorkerLoop(int worker_index) {
       if (queue_.empty() && in_flight_ == 0) idle_cv_.notify_all();
       continue;
     }
-    for (const std::shared_ptr<PfJob>& job : jobs) Participate(*job, slot);
+    for (const std::shared_ptr<PfJob>& job : jobs) Participate(*job);
   }
 }
 

@@ -16,20 +16,20 @@
 namespace wt {
 
 /// Worker pool with two execution paths:
-///  * Submit/SubmitBatch — FIFO tasks through a mutex-guarded queue (cold
-///    path: task granularity is coarse and ordering does not matter);
-///  * ParallelFor — work-stealing index ranges (hot path: the orchestrator
-///    fans a wavefront's runs or replicates out through here).
+///  * Submit — FIFO tasks through a mutex-guarded queue (cold path: task
+///    granularity is coarse and ordering does not matter);
+///  * ParallelFor — index chunks claimed from one shared counter (hot path:
+///    the orchestrator fans a wavefront's (point, replicate) tasks out
+///    through here).
 ///
-/// ParallelFor splits [begin, end) into one contiguous range per
-/// participant (every pool thread plus the calling thread). Each
-/// participant pops grain-sized chunks from the front of its own range;
-/// a participant whose range is exhausted steals the back half of a
-/// victim's range and continues there. Claims are single-CAS operations
-/// on a packed {lo, hi} word, so imbalance migrates at nanosecond cost
-/// and no barrier forms until the final chunk completes. The caller
-/// participates too: a pool starved of CPU (oversubscription) degrades
-/// to the caller executing everything inline — never to a slowdown.
+/// ParallelFor participants (every pool thread plus the calling thread)
+/// claim `grain` indices at a time with one fetch_add on the job's shared
+/// counter and run them, until the counter passes the end of the range.
+/// Whoever is free takes the next chunk, so imbalance never strands work
+/// behind a busy thread and no barrier forms until the final chunk
+/// completes. The caller participates too: a pool starved of CPU
+/// (oversubscription) degrades to the caller executing everything inline
+/// — never to a slowdown.
 ///
 /// Scheduling is invisible to results by construction: `body` must be a
 /// pure function of its index (plus caller-owned slots indexed by it),
@@ -44,72 +44,44 @@ class ThreadPool {
   /// Enqueues a task.
   void Submit(std::function<void()> task);
 
-  /// Enqueues a batch of tasks under a single queue lock. Prefer this over
-  /// per-task Submit when fanning out many small closures: it pays the
-  /// mutex + wakeup cost once per batch instead of once per task.
-  void SubmitBatch(std::vector<std::function<void()>> tasks);
-
-  /// ParallelFor scheduling knobs.
-  struct ForTuning {
-    /// Minimum indices per claim (0 = auto: cost-derived when
-    /// cost_hint_ns is set, else ~8 chunks per participant).
-    size_t grain = 0;
-    /// Estimated serial cost of one index in nanoseconds (0 = unknown).
-    /// Drives adaptive chunk sizing — chunks are sized to ~250us of work
-    /// so claim overhead amortizes — and the inline cutoff: a loop whose
-    /// whole estimated cost is under ~100us runs on the calling thread,
-    /// skipping wakeups entirely (tiny wavefronts must not pay dispatch).
-    int64_t cost_hint_ns = 0;
-  };
-
-  /// Runs body(i) for every i in [begin, end), exactly once each, via the
-  /// work-stealing scheme above. Blocks until every index of THIS call has
-  /// finished — independent of other concurrently submitted work. `body`
-  /// must be safe to invoke concurrently for distinct indices. Safe to
-  /// call from multiple threads and from inside pool tasks (the caller
-  /// participates, so it never deadlocks waiting on a busy pool).
+  /// Runs body(i) for every i in [begin, end), exactly once each, claiming
+  /// `grain` indices per claim (0 = auto: ~8 chunks per participant). A
+  /// range of at most one chunk runs inline on the caller. Blocks until
+  /// every index of THIS call has finished — independent of other
+  /// concurrently submitted work. `body` must be safe to invoke
+  /// concurrently for distinct indices. Safe to call from multiple threads
+  /// and from inside pool tasks (the caller participates, so it never
+  /// deadlocks waiting on a busy pool).
   void ParallelFor(size_t begin, size_t end,
-                   const std::function<void(size_t)>& body,
-                   const ForTuning& tuning);
+                   const std::function<void(size_t)>& body, size_t grain = 0);
 
-  /// Legacy fixed-grain form (grain 0 = auto).
-  void ParallelFor(size_t begin, size_t end,
-                   const std::function<void(size_t)>& body, size_t grain = 0) {
-    ForTuning tuning;
-    tuning.grain = grain;
-    ParallelFor(begin, end, body, tuning);
-  }
-
-  /// Blocks until every Submit/SubmitBatch task has finished.
+  /// Blocks until every Submit task has finished.
   void WaitIdle();
 
-  int num_threads() const { return static_cast<int>(workers_.size()); }
-
  private:
-  // One ParallelFor invocation. Participant p owns ranges[p], a packed
-  // (hi << 32 | lo) pair of offsets into [0, total); slot 0 is the caller,
-  // slot w+1 is pool worker w. done counts fully executed indices — the
-  // acq_rel RMW chain on it publishes every body() effect to whichever
-  // participant observes done == total and signals completion.
+  // One ParallelFor invocation. `next` is the shared claim counter: an
+  // offset into [0, total) that participants advance by `grain`. done
+  // counts fully executed indices — the acq_rel RMW chain on it publishes
+  // every body() effect to whichever participant observes done == total
+  // and signals completion.
   struct PfJob {
     const std::function<void(size_t)>* body = nullptr;
     size_t base = 0;   // original `begin`, added back before calling body
     size_t total = 0;  // indices in the job
-    size_t grain = 1;  // minimum indices per claim
-    std::vector<std::atomic<uint64_t>> ranges;
+    size_t grain = 1;  // indices per claim
+    std::atomic<size_t> next{0};
     std::atomic<size_t> done{0};
     std::atomic<int64_t> chunks{0};
-    std::atomic<int64_t> steals{0};
     std::mutex mu;
     std::condition_variable cv;
     bool finished = false;
   };
 
-  void WorkerLoop(int worker_index);
-  // Pops/steals and executes chunks until no claimable work remains.
-  void Participate(PfJob& job, size_t slot);
-  // Executes [lo, hi) and returns true when this call completed the job.
-  bool RunChunk(PfJob& job, size_t lo, size_t hi);
+  void WorkerLoop();
+  // Claims and executes chunks until the counter passes the range's end.
+  void Participate(PfJob& job);
+  // Executes [lo, hi) and signals the caller when this completed the job.
+  void RunChunk(PfJob& job, size_t lo, size_t hi);
 
   std::mutex mu_;
   std::condition_variable work_cv_;

@@ -10,10 +10,10 @@
 //    is identical for any num_workers. Two families are excluded from that
 //    contract by naming convention: wall-clock metrics (".wall_ns",
 //    ".wall_us" suffixes) are machine-dependent, and "sched."-prefixed
-//    scheduling telemetry (ParallelFor chunk claims, steals, inline
-//    dispatches, queue-depth high-water) legitimately varies with worker
-//    count and OS scheduling. Anything scheduling-dependent MUST live
-//    under "sched."; tests diff everything else across worker counts.
+//    scheduling telemetry (ParallelFor chunk claims, inline dispatches,
+//    queue-depth high-water) legitimately varies with worker count and OS
+//    scheduling. Anything scheduling-dependent MUST live under "sched.";
+//    tests diff everything else across worker counts.
 //    "serve."-prefixed request-serving telemetry sits in between: totals
 //    (requests, sweeps executed) are deterministic for a fixed query
 //    sequence, but the cache hit/miss/in-flight-join split of CONCURRENT

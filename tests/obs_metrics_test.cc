@@ -17,8 +17,8 @@ namespace {
 
 // Two families are machine-dependent by convention and excluded from the
 // determinism contract (wt/obs/metrics.h): wall-clock instruments and the
-// "sched." scheduling-telemetry prefix (chunk claims, steals, queue depths
-// — legitimately different for every worker count and every OS schedule).
+// "sched." scheduling-telemetry prefix (chunk claims, queue depths —
+// legitimately different for every worker count and every OS schedule).
 bool IsSchedulingDependent(const std::string& name) {
   return name.ends_with(".wall_ns") || name.ends_with(".wall_us") ||
          name.ends_with("wall_seconds") || name.starts_with("sched.");

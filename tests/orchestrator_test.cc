@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <string>
 
 #include "wt/core/orchestrator.h"
 #include "wt/core/wind_tunnel.h"
@@ -274,30 +275,74 @@ TEST(OrchestratorTest, PrunedSweepIsWorkerCountInvariant) {
 
 // Replicated runs must also be invariant: substreams derive from
 // (seed, run_id, replicate), never from scheduling order.
+// A model whose replicates fail on low draws, with the draw in the error
+// text: which replicate failed first is visible in the record.
+constexpr double kFailBelow = 0.2;
+
+std::string DrawError(double u) { return "draw " + std::to_string(u); }
+
+// Replicated sweep with failing replicates through the pooled path (the
+// clamp is off, so workers 2 and 8 get real pool lanes on any host).
+// Records must match the serial sweep byte for byte, and each errored
+// record must carry its FIRST failing replicate's message — replicate
+// order, not completion order.
 TEST(OrchestratorTest, ReplicatedSweepIsWorkerCountInvariant) {
   DesignSpace space;
   std::vector<Value> xs;
   for (int i = 1; i <= 12; ++i) xs.emplace_back(i);
   ASSERT_TRUE(space.AddDimension("x", xs).ok());
   RunFn fn = [](const DesignPoint& p, RngStream& rng) -> Result<MetricMap> {
-    return MetricMap{
-        {"y", p.GetDouble("x", 0) + rng.Uniform(0.0, 1.0)}};
+    const double u = rng.Uniform(0.0, 1.0);
+    if (u < kFailBelow) return Status::Internal(DrawError(u));
+    return MetricMap{{"y", p.GetDouble("x", 0) + u}};
   };
+  constexpr uint64_t kSeed = 7;
+  constexpr int kReplications = 4;
   std::vector<RunRecord> baseline;
-  for (int workers : {1, 4}) {
+  for (int workers : {1, 2, 8}) {
     SweepOptions opts;
     opts.num_workers = workers;
-    opts.seed = 7;
-    opts.replications = 3;
+    opts.seed = kSeed;
+    opts.replications = kReplications;
+    opts.clamp_workers_to_hardware = false;
     RunOrchestrator orch(opts);
     auto records = orch.Sweep(space, fn, {{"y", SlaOp::kAtLeast, 4.0}}, {});
     ASSERT_TRUE(records.ok());
     if (workers == 1) {
       baseline = *records;
     } else {
+      SCOPED_TRACE("workers=" + std::to_string(workers));
       ExpectRecordsIdentical(baseline, *records);
     }
   }
+  // Recompute each point's first failing replicate from its substream.
+  int errors = 0;
+  int late_first_failures = 0;
+  int repeat_failures = 0;
+  for (const RunRecord& rec : baseline) {
+    std::string expect;
+    int failed_reps = 0;
+    for (int rep = 0; rep < kReplications; ++rep) {
+      RngStream rng = RngStream(kSeed).Substream(rec.run_id, rep);
+      const double u = rng.Uniform(0.0, 1.0);
+      if (u >= kFailBelow) continue;
+      if (++failed_reps == 1) {
+        expect = Status::Internal(DrawError(u)).ToString();
+        if (rep >= 1) ++late_first_failures;
+      }
+    }
+    EXPECT_EQ(rec.status == RunStatus::kError, failed_reps > 0)
+        << "run " << rec.run_id;
+    EXPECT_EQ(rec.error, expect) << "run " << rec.run_id;
+    if (failed_reps > 0) ++errors;
+    if (failed_reps > 1) ++repeat_failures;
+  }
+  EXPECT_GT(errors, 0);
+  // A point whose first failure is at replicate 1 or later can see a later
+  // replicate complete before it; a point with two failures tells the
+  // first from the last.
+  EXPECT_GT(late_first_failures, 0);
+  EXPECT_GT(repeat_failures, 0);
 }
 
 // The wavefront schedule preserves serial pruning power: on the E6 grid the

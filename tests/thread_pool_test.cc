@@ -24,30 +24,24 @@ TEST(ThreadPoolTest, ManyTinyTasks) {
   EXPECT_EQ(count.load(), 10000);
 }
 
-TEST(ThreadPoolTest, SubmitBatchRunsEveryTask) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  std::vector<std::function<void()>> tasks;
-  for (int i = 0; i < 5000; ++i) {
-    tasks.push_back(
-        [&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.SubmitBatch(std::move(tasks));
-  pool.WaitIdle();
-  EXPECT_EQ(count.load(), 5000);
-}
-
+// Ranges starting at 0 and above 0, so a chunk offset that forgets
+// `begin` on the pooled path shows up as a miss or a double hit.
 TEST(ThreadPoolTest, ParallelForCoversRangeExactlyOnce) {
   ThreadPool pool(4);
-  for (size_t grain : {size_t{0}, size_t{1}, size_t{7}, size_t{4096}}) {
-    std::vector<std::atomic<int>> hits(1000);
-    for (auto& h : hits) h.store(0);
-    pool.ParallelFor(
-        0, hits.size(),
-        [&hits](size_t i) { hits[i].fetch_add(1, std::memory_order_relaxed); },
-        grain);
-    for (size_t i = 0; i < hits.size(); ++i) {
-      ASSERT_EQ(hits[i].load(), 1) << "grain=" << grain << " i=" << i;
+  for (size_t begin : {size_t{0}, size_t{1000}}) {
+    for (size_t grain : {size_t{0}, size_t{1}, size_t{7}, size_t{4096}}) {
+      std::vector<std::atomic<int>> hits(begin + 1000);
+      for (auto& h : hits) h.store(0);
+      pool.ParallelFor(
+          begin, hits.size(),
+          [&hits](size_t i) {
+            hits[i].fetch_add(1, std::memory_order_relaxed);
+          },
+          grain);
+      for (size_t i = 0; i < hits.size(); ++i) {
+        ASSERT_EQ(hits[i].load(), i < begin ? 0 : 1)
+            << "begin=" << begin << " grain=" << grain << " i=" << i;
+      }
     }
   }
 }
@@ -122,12 +116,11 @@ TEST(ThreadPoolTest, ParallelForAccumulatesViaDisjointSlots) {
   EXPECT_EQ(sum, expect);
 }
 
-// Work-stealing stress: a severely imbalanced cost profile at grain=1
-// maximizes steal traffic (the static partition gives the tail — where all
-// the work lives — to the last slot, so every other participant must
-// steal). Exactly-once coverage plus a value checksum catch both a lost
-// range and a double-claimed one.
-TEST(ThreadPoolTest, WorkStealingImbalancedCostsCoverExactlyOnce) {
+// Claim-counter stress: grain=1 makes every index its own claim, and a
+// cost that ramps with the index keeps participants finishing their chunks
+// at very different times. Exactly-once coverage plus a value checksum
+// catch both a lost chunk and a double-claimed one.
+TEST(ThreadPoolTest, ImbalancedCostsCoverExactlyOnce) {
   ThreadPool pool(4);
   constexpr size_t kN = 2000;
   for (int round = 0; round < 4; ++round) {
@@ -146,7 +139,7 @@ TEST(ThreadPoolTest, WorkStealingImbalancedCostsCoverExactlyOnce) {
           checksum.fetch_add(i, std::memory_order_relaxed);
           hits[i].fetch_add(1, std::memory_order_relaxed);
         },
-        ThreadPool::ForTuning{/*grain=*/1, /*cost_hint_ns=*/0});
+        /*grain=*/1);
     for (size_t i = 0; i < kN; ++i) {
       ASSERT_EQ(hits[i].load(), 1) << "round=" << round << " i=" << i;
     }
@@ -157,8 +150,8 @@ TEST(ThreadPoolTest, WorkStealingImbalancedCostsCoverExactlyOnce) {
 // Several threads race their own ParallelFor jobs on one pool while a
 // submitter floods the queue: pool workers multiplex queue tasks and
 // every live job, and each caller must wake only when *its* range is
-// done. The schedule this creates — concurrent jobs, stealing, queue
-// interleave — is the one TSan needs to see to vet the CAS protocol.
+// done. The schedule this creates — concurrent jobs, shared claims, queue
+// interleave — is the one TSan needs to see to vet the claim protocol.
 TEST(ThreadPoolTest, ConcurrentParallelForsWithInterleavedSubmits) {
   ThreadPool pool(4);
   constexpr int kCallers = 4;
@@ -189,7 +182,7 @@ TEST(ThreadPoolTest, ConcurrentParallelForsWithInterleavedSubmits) {
             [&hits, c](size_t i) {
               hits[c][i].fetch_add(1, std::memory_order_relaxed);
             },
-            ThreadPool::ForTuning{/*grain=*/7, /*cost_hint_ns=*/0});
+            /*grain=*/7);
       }
     });
   }
@@ -205,8 +198,8 @@ TEST(ThreadPoolTest, ConcurrentParallelForsWithInterleavedSubmits) {
   EXPECT_GT(queue_count.load(), 0);
 }
 
-// A worker thread issuing its own nested ParallelFor (run_wave_replicated
-// does this transitively when models parallelize internally) must not
+// A worker thread issuing its own nested ParallelFor (a sweep task does
+// this transitively when its model parallelizes internally) must not
 // deadlock: the caller participates in its own job, so forward progress
 // never depends on a free pool thread.
 TEST(ThreadPoolTest, NestedParallelForFromWorkerCompletes) {
