@@ -32,52 +32,6 @@ RunOrchestrator::RunOrchestrator(SweepOptions options) : options_(options) {
   WT_CHECK(options.replications >= 1);
 }
 
-namespace {
-
-// Wavefront (epoch) schedule. level(j) = 1 + max level over earlier points
-// that could prune j (could-prune = static dominance along the hints), or 0
-// if none can. Two properties make the sweep worker-count-invariant:
-//  * every potential pruner of a point sits in a strictly earlier wavefront,
-//    so by the time a point's pruning check runs, all failures that could
-//    affect it are already committed — identical to a serial sweep;
-//  * points within one wavefront cannot prune each other, so they are
-//    independent and fan out onto the pool in any order.
-// OrderBestFirst sorts descending by hinted goodness and dominance implies
-// equal-or-better goodness, so dominators always precede dominatees and the
-// i < j scan below sees every edge. O(n^2) dominance checks in the worst
-// case; design grids are small (thousands of points) and each check is a
-// handful of map lookups.
-//
-// Waves never merge beyond this: by construction every point of wave k has
-// a potential pruner in wave k-1, so any two consecutive non-trivial waves
-// carry a real ordering dependency. The one sound collapse is `can_fail ==
-// false` (no SLA constraints): nothing can ever fail, so nothing can ever
-// prune, and the whole sweep is a single wave with zero epoch barriers.
-std::vector<std::vector<size_t>> BuildWavefronts(
-    const DominancePruner& pruner, const std::vector<DesignPoint>& points,
-    bool enable_pruning, bool have_hints, bool can_fail) {
-  const size_t n = points.size();
-  std::vector<size_t> level(n, 0);
-  size_t num_levels = 1;
-  if (enable_pruning && have_hints && can_fail) {
-    for (size_t j = 0; j < n; ++j) {
-      for (size_t i = 0; i < j; ++i) {
-        // Cheap level test first; the dominance check is the expensive part.
-        if (level[i] + 1 > level[j] &&
-            pruner.DominatesOrEqual(points[i], points[j])) {
-          level[j] = level[i] + 1;
-        }
-      }
-      num_levels = std::max(num_levels, level[j] + 1);
-    }
-  }
-  std::vector<std::vector<size_t>> waves(num_levels);
-  for (size_t j = 0; j < n; ++j) waves[level[j]].push_back(j);
-  return waves;
-}
-
-}  // namespace
-
 std::string SweepConfigHash(const std::vector<DesignPoint>& points,
                             const std::vector<SlaConstraint>& constraints) {
   std::string buf;
@@ -104,11 +58,30 @@ Result<std::vector<RunRecord>> RunOrchestrator::Sweep(
   }
   WT_TRACE_SCOPE("orchestrator", "sweep");
   const int64_t sweep_wall0 = obs::WallNanos();
-  DominancePruner pruner(hints);
-  std::vector<DesignPoint> points = pruner.OrderBestFirst(space.AllPoints());
-  const std::vector<std::vector<size_t>> waves =
-      BuildWavefronts(pruner, points, options_.enable_pruning, !hints.empty(),
-                      /*can_fail=*/!constraints.empty());
+  // Wavefront (epoch) schedule over the best-first order. Two properties
+  // make the sweep worker-count-invariant:
+  //  * every potential pruner of a point sits in a strictly earlier
+  //    wavefront, so by the time a point's pruning check runs, all failures
+  //    that could affect it are already committed — identical to a serial
+  //    sweep;
+  //  * points within one wavefront cannot prune each other, so they are
+  //    independent and fan out onto the pool in any order.
+  // The index compares points only within a bucket of equal non-hinted
+  // values, so building the schedule costs the sum of squared bucket sizes.
+  //
+  // Waves never merge beyond this: by construction every point of wave k
+  // has a potential pruner in wave k-1, so any two consecutive non-trivial
+  // waves carry a real ordering dependency. The one sound collapse is a
+  // sweep that cannot prune (no hints, no constraints so nothing can fail,
+  // or pruning off): the whole sweep is a single wave with zero epoch
+  // barriers, and the index builds no buckets.
+  DominanceIndex index(
+      space, hints,
+      options_.enable_pruning && !hints.empty() && !constraints.empty());
+  std::vector<DesignPoint> points;
+  points.reserve(index.order().size());
+  for (size_t grid : index.order()) points.push_back(space.PointAt(grid));
+  const std::vector<std::vector<size_t>> waves = index.Wavefronts();
 
   std::vector<RunRecord> records(points.size());
   RngStream root(options_.seed);
@@ -151,7 +124,7 @@ Result<std::vector<RunRecord>> RunOrchestrator::Sweep(
       RunRecord& rec = records[idx];
       rec.run_id = idx;
       rec.point = points[idx];
-      if (options_.enable_pruning && pruner.IsDominated(rec.point)) {
+      if (index.IsDominated(idx)) {
         rec.status = RunStatus::kPruned;
         rec.sla_satisfied = false;
         WT_TRACE_INSTANT_ARG("orchestrator", "pruned", "run_id",
@@ -217,15 +190,13 @@ Result<std::vector<RunRecord>> RunOrchestrator::Sweep(
       rec.sla_satisfied = AllSatisfied(rec.sla_outcomes);
     }
     // Phase 4 (serial, point-index order): commit this epoch's SLA failures
-    // to the pruner. This is the ONLY place pruner state changes, so the
+    // to the index. This is the ONLY place pruning state changes, so the
     // pruned set depends on the wavefront structure alone, never on worker
     // count or completion order.
-    if (options_.enable_pruning) {
-      for (size_t idx : wave) {
-        const RunRecord& rec = records[idx];
-        if (rec.status == RunStatus::kCompleted && !rec.sla_satisfied) {
-          pruner.RecordFailure(rec.point);
-        }
+    for (size_t idx : wave) {
+      const RunRecord& rec = records[idx];
+      if (rec.status == RunStatus::kCompleted && !rec.sla_satisfied) {
+        index.RecordFailure(idx);
       }
     }
   }

@@ -3,7 +3,7 @@
 //
 // The two scaling techniques the paper borrows from databases:
 //  * optimization — order runs so that dominating configurations execute
-//    first and SLA failures prune their dominated cone (DominancePruner);
+//    first and SLA failures prune their dominated cone (DominanceIndex);
 //  * parallelization — independent runs execute on a worker pool (each run
 //    owns a private Simulator, so runs never share mutable state; this is
 //    the run-level parallelism justified by the model interaction graph).

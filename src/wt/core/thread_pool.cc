@@ -85,9 +85,12 @@ void ThreadPool::RunChunk(PfJob& job, size_t lo, size_t hi) {
 
 void ThreadPool::Participate(PfJob& job) {
   // A claim past the end only leaves the counter one grain further beyond
-  // `total`.
+  // `total`. A claim needs only the RMW's atomicity (the job's fields
+  // reached this thread under `mu_`, and results are published through
+  // `done`), but the order stays seq_cst until a contended benchmark
+  // shows that weakening it pays.
   for (;;) {
-    const size_t lo = job.next.fetch_add(job.grain);
+    const size_t lo = job.next.fetch_add(job.grain, std::memory_order_seq_cst);
     if (lo >= job.total) return;
     RunChunk(job, lo, std::min(lo + job.grain, job.total));
   }

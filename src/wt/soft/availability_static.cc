@@ -128,29 +128,32 @@ StaticAvailabilityPoint EstimateStaticUnavailability(
 
   for (int ps = 0; ps < config.placement_samples; ++ps) {
     // One placement layout, drawn object by object exactly as a
-    // StorageService would; deterministic policies yield identical layouts
-    // across samples, randomized ones are resampled.
-    RngStream place_rng = root.Substream(StrFormat("placement-%d", ps));
-    sets.Clear();
-    for (ObjectId o = 0; o < config.num_users; ++o) {
-      placement.Place(o, nf, config.num_nodes, place_rng, nodes);
-      WT_CHECK(static_cast<int>(nodes.size()) == nf)
-          << placement.name() << " must place " << nf
-          << " fragments on distinct nodes";
-      std::fill(mask.begin(), mask.end(), 0);
-      for (NodeIndex n : nodes) {
-        WT_CHECK(n >= 0 && n < config.num_nodes)
-            << placement.name() << " placed a fragment on node " << n;
-        uint64_t& word = mask[static_cast<size_t>(n >> 6)];
-        const uint64_t bit = uint64_t{1} << (n & 63);
-        WT_CHECK((word & bit) == 0)
+    // StorageService would. Randomized policies are resampled; a policy
+    // that never draws builds the same layout every sample, so it is built
+    // once.
+    if (ps == 0 || placement.randomized()) {
+      RngStream place_rng = root.Substream(StrFormat("placement-%d", ps));
+      sets.Clear();
+      for (ObjectId o = 0; o < config.num_users; ++o) {
+        placement.Place(o, nf, config.num_nodes, place_rng, nodes);
+        WT_CHECK(static_cast<int>(nodes.size()) == nf)
             << placement.name() << " must place " << nf
             << " fragments on distinct nodes";
-        word |= bit;
+        std::fill(mask.begin(), mask.end(), 0);
+        for (NodeIndex n : nodes) {
+          WT_CHECK(n >= 0 && n < config.num_nodes)
+              << placement.name() << " placed a fragment on node " << n;
+          uint64_t& word = mask[static_cast<size_t>(n >> 6)];
+          const uint64_t bit = uint64_t{1} << (n & 63);
+          WT_CHECK((word & bit) == 0)
+              << placement.name() << " must place " << nf
+              << " fragments on distinct nodes";
+          word |= bit;
+        }
+        sets.Add(mask.data(), nodes);
       }
-      sets.Add(mask.data(), nodes);
+      set_failed.assign(sets.size(), 0);
     }
-    set_failed.assign(sets.size(), 0);
 
     RngStream fail_rng = root.Substream(StrFormat("failures-%d", ps));
     for (int t = 0; t < config.trials_per_placement; ++t) {

@@ -39,6 +39,10 @@ class PlacementPolicy {
   /// "round_robin", "copyset").
   virtual std::string name() const = 0;
 
+  /// False if Place never draws from its RngStream, so every layout it
+  /// builds for one cluster is the same.
+  virtual bool randomized() const { return true; }
+
   virtual std::unique_ptr<PlacementPolicy> Clone() const = 0;
 
   /// Factory by name.
@@ -64,6 +68,7 @@ class RoundRobinPlacement final : public PlacementPolicy {
   void Place(ObjectId object, int num_fragments, int num_nodes,
              RngStream& rng, std::vector<NodeIndex>& out) const override;
   std::string name() const override { return "round_robin"; }
+  bool randomized() const override { return false; }
   std::unique_ptr<PlacementPolicy> Clone() const override {
     return std::make_unique<RoundRobinPlacement>(*this);
   }

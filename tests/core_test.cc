@@ -5,7 +5,9 @@
 
 #include <atomic>
 #include <set>
+#include <utility>
 
+#include "wt/common/macros.h"
 #include "wt/core/design_space.h"
 #include "wt/core/early_abort.h"
 #include "wt/core/pruner.h"
@@ -147,10 +149,55 @@ DesignPoint P(int64_t gbps, const std::string& placement) {
       {{"network_gbps", Value(gbps)}, {"placement", Value(placement)}});
 }
 
+// A DominanceIndex over `space` that records and queries DesignPoints by
+// looking up their run ids, so the cases below read like the paper.
+class PointPruner {
+ public:
+  PointPruner(DesignSpace space, std::vector<MonotoneHint> hints)
+      : space_(std::move(space)), index_(space_, hints, /*can_prune=*/true) {}
+
+  void RecordFailure(const DesignPoint& p) { index_.RecordFailure(RunId(p)); }
+  bool IsDominated(const DesignPoint& p) const {
+    return index_.IsDominated(RunId(p));
+  }
+  std::vector<DesignPoint> Ordered() const {
+    std::vector<DesignPoint> out;
+    for (size_t grid : index_.order()) out.push_back(space_.PointAt(grid));
+    return out;
+  }
+
+ private:
+  size_t RunId(const DesignPoint& p) const {
+    const std::vector<size_t>& order = index_.order();
+    for (size_t r = 0; r < order.size(); ++r) {
+      if (space_.PointAt(order[r]).ToString() == p.ToString()) return r;
+    }
+    ADD_FAILURE() << "point not in space: " << p.ToString();
+    return 0;
+  }
+
+  DesignSpace space_;
+  DominanceIndex index_;
+};
+
+DesignSpace Space(
+    const std::vector<std::pair<std::string, std::vector<Value>>>& dims) {
+  DesignSpace space;
+  for (const auto& [name, candidates] : dims) {
+    WT_CHECK(space.AddDimension(name, candidates).ok());
+  }
+  return space;
+}
+
+DesignSpace NetworkSpace() {
+  return Space({{"network_gbps", {1, 10, 40}},
+                {"placement", {"random", "round_robin"}}});
+}
+
 TEST(PrunerTest, PaperNetworkExample) {
   // §4.2: failing at 10 Gb implies failing at 1 Gb, other dims equal.
-  DominancePruner pruner(
-      {{"network_gbps", MonotoneDirection::kHigherIsBetter}});
+  PointPruner pruner(NetworkSpace(),
+                     {{"network_gbps", MonotoneDirection::kHigherIsBetter}});
   pruner.RecordFailure(P(10, "random"));
   EXPECT_TRUE(pruner.IsDominated(P(1, "random")));
   EXPECT_TRUE(pruner.IsDominated(P(10, "random")));  // equal = dominated
@@ -160,8 +207,8 @@ TEST(PrunerTest, PaperNetworkExample) {
 }
 
 TEST(PrunerTest, LowerIsBetterDirection) {
-  DominancePruner pruner(
-      {{"background_load", MonotoneDirection::kLowerIsBetter}});
+  PointPruner pruner(Space({{"background_load", {50, 100, 200}}}),
+                     {{"background_load", MonotoneDirection::kLowerIsBetter}});
   pruner.RecordFailure(
       DesignPoint({{"background_load", Value(100)}}));
   EXPECT_TRUE(pruner.IsDominated(DesignPoint({{"background_load", Value(200)}})));
@@ -169,16 +216,16 @@ TEST(PrunerTest, LowerIsBetterDirection) {
 }
 
 TEST(PrunerTest, OrderBestFirstRunsDominatorsEarly) {
-  DominancePruner pruner(
+  PointPruner pruner(
+      Space({{"network_gbps", {1, 40, 10}}, {"placement", {"a"}}}),
       {{"network_gbps", MonotoneDirection::kHigherIsBetter}});
-  std::vector<DesignPoint> points = {P(1, "a"), P(40, "a"), P(10, "a")};
-  auto ordered = pruner.OrderBestFirst(points);
+  auto ordered = pruner.Ordered();
   EXPECT_EQ(ordered[0].GetInt("network_gbps", 0), 40);
   EXPECT_EQ(ordered[2].GetInt("network_gbps", 0), 1);
 }
 
 TEST(PrunerTest, NoHintsMeansNoPruning) {
-  DominancePruner pruner({});
+  PointPruner pruner(NetworkSpace(), {});
   pruner.RecordFailure(P(10, "random"));
   // With no hints, only an identical point is "dominated".
   EXPECT_TRUE(pruner.IsDominated(P(10, "random")));
@@ -186,7 +233,8 @@ TEST(PrunerTest, NoHintsMeansNoPruning) {
 }
 
 TEST(PrunerTest, MultiDimensionalDominance) {
-  DominancePruner pruner(
+  PointPruner pruner(
+      Space({{"network_gbps", {1, 10}}, {"memory_gb", {32, 64, 128}}}),
       {{"network_gbps", MonotoneDirection::kHigherIsBetter},
        {"memory_gb", MonotoneDirection::kHigherIsBetter}});
   pruner.RecordFailure(DesignPoint(

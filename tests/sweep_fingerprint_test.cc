@@ -200,6 +200,53 @@ TEST(SweepFingerprintTest, ReplicateHeavySweepIsByteIdenticalAcrossWorkers) {
   }
 }
 
+// A large sweep with both hints and a WHERE clause, so the wavefront
+// schedule, best-first order and pruned set all shape the records. It has
+// the shape of benchsuite/sweep_fine.json: 16 node counts x replication 1-5
+// x failures 0-7 x 2 placements = 1,280 static-availability points, hinted
+// higher-is-better on replication and lower-is-better on failures, pruned
+// under p_any_unavailable <= 0.2. The golden was captured from the
+// all-pairs wavefront build and the point-walking pruner (commit 45388f8,
+// GCC 12 / x86-64 Release) before both were replaced by the bucketed
+// DominanceIndex.
+constexpr const char* kGoldenPrunedGrid = "0002632f35db21df";
+
+TEST(SweepFingerprintTest, LargePrunedSweepMatchesAllPairsSchedule) {
+  std::vector<Value> nodes;
+  for (int n = 10; n <= 40; n += 2) nodes.emplace_back(n);
+  DesignSpace space;
+  ASSERT_TRUE(space.AddDimension("nodes", nodes).ok());
+  ASSERT_TRUE(space.AddDimension("replication", {1, 2, 3, 4, 5}).ok());
+  ASSERT_TRUE(
+      space.AddDimension("failures", {0, 1, 2, 3, 4, 5, 6, 7}).ok());
+  ASSERT_TRUE(
+      space.AddDimension("placement", {"random", "round_robin"}).ok());
+  ASSERT_TRUE(space.AddDimension("placement_samples", {2}).ok());
+  ASSERT_TRUE(space.AddDimension("trials", {20}).ok());
+  ASSERT_TRUE(space.AddDimension("users", {200}).ok());
+  ASSERT_EQ(space.size(), 1280u);
+  const std::vector<SlaConstraint> where = {
+      {"p_any_unavailable", SlaOp::kAtMost, 0.2}};
+  const std::vector<MonotoneHint> hints = {
+      {"replication", MonotoneDirection::kHigherIsBetter},
+      {"failures", MonotoneDirection::kLowerIsBetter}};
+  for (int workers : {1, 8}) {
+    SweepOptions opts;
+    opts.num_workers = workers;
+    opts.clamp_workers_to_hardware = false;
+    opts.seed = 2014;
+    RunOrchestrator orch(opts);
+    auto records =
+        orch.Sweep(space, MakeStaticAvailabilitySim(), where, hints);
+    ASSERT_TRUE(records.ok()) << records.status().ToString();
+    EXPECT_EQ(FingerprintRecords(*records), kGoldenPrunedGrid)
+        << "workers=" << workers;
+    EXPECT_EQ(orch.last_stats().executed, 422u);
+    EXPECT_EQ(orch.last_stats().pruned, 858u);
+    EXPECT_EQ(orch.last_stats().wavefronts, 12u);
+  }
+}
+
 // The paper's Figure 1: all 72 static Monte-Carlo points of the committed
 // scenarios/fig1_unavailability.json at its own seed, swept through a
 // WindTunnel like `wtq --scenario`. The golden was captured from the
