@@ -26,6 +26,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_json.h"
@@ -297,12 +298,28 @@ void BM_EventQueueChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueChurn);
 
+// False for a run that times selected microbenchmarks: the sweep table,
+// and the BENCH_e7.json it writes, run only for the full bench (no
+// --benchmark_filter) or the table alone (the filter NONE, as CI runs
+// it), so timing one microbenchmark never rewrites the committed file.
+// Read from argv before benchmark::Initialize consumes the flag:
+// libbenchmark 1.6 has no GetBenchmarkFilter().
+bool RunsSweepTable(int argc, char** argv) {
+  constexpr std::string_view kFlag = "--benchmark_filter=";
+  std::string_view filter = "NONE";
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg.substr(0, kFlag.size()) == kFlag) filter = arg.substr(kFlag.size());
+  }
+  return filter == "NONE";
+}
+
 }  // namespace
 
 int BenchMain(wt::bench::BenchContext& ctx) {
   // A traced run (WT_TRACE, set up by the bench_main.h harness) shows how
   // the claimed chunks spread over the orchestrator's worker lanes.
-  SweepWallClock();
+  if (RunsSweepTable(ctx.argc, ctx.argv)) SweepWallClock();
   benchmark::Initialize(&ctx.argc, ctx.argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -1,9 +1,10 @@
 #include "wt/workload/perf_sim.h"
 
 #include <cmath>
-#include <deque>
+#include <cstdint>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "wt/hw/network.h"
 
@@ -41,22 +42,162 @@ struct NodeResources {
   bool up = true;
 };
 
-/// Shared mutable state of one run.
+/// An in-flight write: disk branches still running at its replicas, and
+/// what its completion records.
+struct WriteJoin {
+  int remaining = 0;
+  size_t workload = 0;
+  double start_s = 0.0;
+};
+
+/// One open-loop Poisson source per workload.
+struct SourceCtx {
+  const PerfWorkloadSpec* spec;
+  size_t workload_idx;
+  RngStream rng;
+  std::unique_ptr<ZipfGenerator> zipf;
+};
+
+/// Shared mutable state of one run. The request path reuses its buffers
+/// and keeps a write's join in a slab, so a request's callbacks capture
+/// only pointers, indices and service times, and fit InlineFn's inline
+/// buffer.
 struct RunState {
   Simulator sim;
   std::vector<NodeResources> nodes;
   std::vector<WorkloadResult> results;
+  int replication = 1;
+  double duration_s = 0.0;
   double warmup_s = 0.0;
   double nic_bytes_per_s = 0.0;
+  RngStream* repair_rng = nullptr;   // shared by every outage's repair I/O
+  std::vector<int> live;             // one write's live replicas
+  std::vector<WriteJoin> joins;      // slab of in-flight writes
+  std::vector<uint32_t> free_joins;  // recycled slab indices
+
+  void Arrive(SourceCtx* ctx);
+  void Execute(SourceCtx& ctx);
+  void Finish(size_t workload, double start_s);
+  void BranchDone(uint32_t join);
+  void InjectRepair(const OutageEvent* ev);
 };
 
-/// Replica nodes of a key: contiguous window (round-robin placement).
-void ReplicaNodes(int64_t key, int replication, int num_nodes,
-                  std::vector<int>& out) {
-  out.clear();
-  int start = static_cast<int>(key % num_nodes);
-  for (int i = 0; i < replication; ++i) {
-    out.push_back((start + i) % num_nodes);
+// Self-rescheduling arrival loop of one source.
+void RunState::Arrive(SourceCtx* ctx) {
+  Execute(*ctx);
+  double gap = -std::log(ctx->rng.NextDoubleOpen()) / ctx->spec->arrival_rate;
+  if (sim.Now().seconds() + gap < duration_s) {
+    sim.Schedule(SimTime::Seconds(gap), [this, ctx] { Arrive(ctx); });
+  }
+}
+
+// Repair I/O on survivors during an outage: Poisson background disk jobs
+// spread over live nodes.
+void RunState::InjectRepair(const OutageEvent* ev) {
+  double now = sim.Now().seconds();
+  if (now >= ev->at_s + ev->duration_s) return;
+  const int num_nodes = static_cast<int>(nodes.size());
+  int victim = static_cast<int>(repair_rng->UniformInt(0, num_nodes - 1));
+  if (victim == ev->node) victim = (victim + 1) % num_nodes;
+  auto& node = nodes[static_cast<size_t>(victim)];
+  if (node.up) node.disk->Submit(ev->repair_disk_service_s, nullptr);
+  double gap =
+      -std::log(repair_rng->NextDoubleOpen()) / ev->repair_disk_jobs_per_s;
+  sim.Schedule(SimTime::Seconds(gap), [this, ev] { InjectRepair(ev); });
+}
+
+void RunState::Finish(size_t workload, double start_s) {
+  double now_s = sim.Now().seconds();
+  if (now_s >= warmup_s) {
+    auto& res = results[workload];
+    res.latency_ms.Add((now_s - start_s) * 1e3);
+    ++res.completed;
+  }
+}
+
+void RunState::BranchDone(uint32_t join) {
+  WriteJoin& j = joins[join];
+  if (--j.remaining == 0) {
+    Finish(j.workload, j.start_s);
+    free_joins.push_back(join);
+  }
+}
+
+// Executes one request end-to-end: serving node's disk -> cpu -> nic.
+// Writes additionally occupy each replica's disk; completion waits for the
+// slowest branch. A key's replicas are the contiguous window of
+// `replication` nodes from key % nodes (round-robin placement).
+void RunState::Execute(SourceCtx& ctx) {
+  const PerfWorkloadSpec& spec = *ctx.spec;
+  const int64_t key = ctx.zipf->Sample(ctx.rng);
+  const int num_nodes = static_cast<int>(nodes.size());
+  const int first = static_cast<int>(key % num_nodes);
+
+  bool is_read = ctx.rng.Bernoulli(spec.read_fraction);
+  double start_s = sim.Now().seconds();
+  size_t widx = ctx.workload_idx;
+
+  if (is_read) {
+    // Serve from the first live replica.
+    int serve = -1;
+    for (int i = 0; i < replication; ++i) {
+      const int r = (first + i) % num_nodes;
+      if (nodes[static_cast<size_t>(r)].up) {
+        serve = r;
+        break;
+      }
+    }
+    if (serve < 0) {
+      ++results[widx].failed;
+      return;
+    }
+    auto& node = nodes[static_cast<size_t>(serve)];
+    double disk_s = spec.disk_service_s->Sample(ctx.rng);
+    double cpu_s = spec.cpu_service_s->Sample(ctx.rng);
+    double nic_s = spec.request_bytes / nic_bytes_per_s;
+    auto finish = [this, widx, start_s] { Finish(widx, start_s); };
+    node.disk->Submit(disk_s, [&node, cpu_s, nic_s, finish] {
+      node.cpu->Submit(cpu_s, [&node, nic_s, finish] {
+        node.nic->Submit(nic_s, finish);
+      });
+    });
+  } else {
+    // Write: disk work at every live replica; cpu+nic at the primary
+    // (first live). Completion when all branches are done.
+    live.clear();
+    for (int i = 0; i < replication; ++i) {
+      const int r = (first + i) % num_nodes;
+      if (nodes[static_cast<size_t>(r)].up) live.push_back(r);
+    }
+    if (live.empty()) {
+      ++results[widx].failed;
+      return;
+    }
+    uint32_t join;
+    if (free_joins.empty()) {
+      join = static_cast<uint32_t>(joins.size());
+      joins.emplace_back();
+    } else {
+      join = free_joins.back();
+      free_joins.pop_back();
+    }
+    joins[join] = WriteJoin{static_cast<int>(live.size()), widx, start_s};
+    auto branch_done = [this, join] { BranchDone(join); };
+    double cpu_s = spec.cpu_service_s->Sample(ctx.rng);
+    double nic_s = spec.request_bytes / nic_bytes_per_s;
+    for (size_t i = 0; i < live.size(); ++i) {
+      auto& node = nodes[static_cast<size_t>(live[i])];
+      double disk_s = spec.disk_service_s->Sample(ctx.rng);
+      if (i == 0) {
+        node.disk->Submit(disk_s, [&node, cpu_s, nic_s, branch_done] {
+          node.cpu->Submit(cpu_s, [&node, nic_s, branch_done] {
+            node.nic->Submit(nic_s, branch_done);
+          });
+        });
+      } else {
+        node.disk->Submit(disk_s, branch_done);
+      }
+    }
   }
 }
 
@@ -89,8 +230,11 @@ Result<PerfSimResult> RunPerfSim(const PerfSimConfig& config,
   WT_TRACE_SCOPE("workload", "perf_sim");
   RunState state;
   state.sim.AttachDefaultObs();
+  state.replication = config.replication;
+  state.duration_s = config.duration_s;
   state.warmup_s = config.warmup_s;
   state.nic_bytes_per_s = GbpsToBytesPerSec(config.nic_gbps);
+  state.live.reserve(static_cast<size_t>(config.replication));
   // Peak pending events: at most one completion per busy server across all
   // per-node resource queues, one arrival timer per workload source, plus
   // cluster-event timers. Pre-sizing the event pool once here means the
@@ -114,12 +258,6 @@ Result<PerfSimResult> RunPerfSim(const PerfSimConfig& config,
   RngStream root(config.seed);
 
   // --- request generation: one open-loop Poisson source per workload ---
-  struct SourceCtx {
-    const PerfWorkloadSpec* spec;
-    size_t workload_idx;
-    RngStream rng;
-    std::unique_ptr<ZipfGenerator> zipf;
-  };
   std::vector<std::unique_ptr<SourceCtx>> sources;
   for (size_t w = 0; w < specs.size(); ++w) {
     auto ctx = std::make_unique<SourceCtx>(SourceCtx{
@@ -128,104 +266,17 @@ Result<PerfSimResult> RunPerfSim(const PerfSimConfig& config,
         std::make_unique<ZipfGenerator>(specs[w].num_keys, specs[w].zipf_s);
     sources.push_back(std::move(ctx));
   }
-
-  // Executes one request end-to-end: serving node's disk -> cpu -> nic.
-  // Writes additionally occupy each replica's disk; completion waits for
-  // the slowest branch.
-  auto execute = [&state, &config](SourceCtx& ctx) {
-    const PerfWorkloadSpec& spec = *ctx.spec;
-    int64_t key = ctx.zipf->Sample(ctx.rng);
-    std::vector<int> replicas;
-    ReplicaNodes(key, config.replication, config.num_nodes, replicas);
-
-    bool is_read = ctx.rng.Bernoulli(spec.read_fraction);
-    double start_s = state.sim.Now().seconds();
-    size_t widx = ctx.workload_idx;
-
-    auto finish = [&state, widx, start_s] {
-      double now_s = state.sim.Now().seconds();
-      if (now_s >= state.warmup_s) {
-        auto& res = state.results[widx];
-        res.latency_ms.Add((now_s - start_s) * 1e3);
-        ++res.completed;
-      }
-    };
-
-    if (is_read) {
-      // Serve from the first live replica.
-      int serve = -1;
-      for (int r : replicas) {
-        if (state.nodes[static_cast<size_t>(r)].up) {
-          serve = r;
-          break;
-        }
-      }
-      if (serve < 0) {
-        ++state.results[widx].failed;
-        return;
-      }
-      auto& node = state.nodes[static_cast<size_t>(serve)];
-      double disk_s = spec.disk_service_s->Sample(ctx.rng);
-      double cpu_s = spec.cpu_service_s->Sample(ctx.rng);
-      double nic_s = spec.request_bytes / state.nic_bytes_per_s;
-      node.disk->Submit(disk_s, [&node, cpu_s, nic_s, finish] {
-        node.cpu->Submit(cpu_s, [&node, nic_s, finish] {
-          node.nic->Submit(nic_s, finish);
-        });
-      });
-    } else {
-      // Write: disk work at every live replica; cpu+nic at the primary
-      // (first live). Completion when all branches are done.
-      std::vector<int> live;
-      for (int r : replicas) {
-        if (state.nodes[static_cast<size_t>(r)].up) live.push_back(r);
-      }
-      if (live.empty()) {
-        ++state.results[widx].failed;
-        return;
-      }
-      auto remaining = std::make_shared<int>(static_cast<int>(live.size()));
-      auto branch_done = [remaining, finish] {
-        if (--*remaining == 0) finish();
-      };
-      double cpu_s = spec.cpu_service_s->Sample(ctx.rng);
-      double nic_s = spec.request_bytes / state.nic_bytes_per_s;
-      for (size_t i = 0; i < live.size(); ++i) {
-        auto& node = state.nodes[static_cast<size_t>(live[i])];
-        double disk_s = spec.disk_service_s->Sample(ctx.rng);
-        if (i == 0) {
-          node.disk->Submit(disk_s, [&node, cpu_s, nic_s, branch_done] {
-            node.cpu->Submit(cpu_s, [&node, nic_s, branch_done] {
-              node.nic->Submit(nic_s, branch_done);
-            });
-          });
-        } else {
-          node.disk->Submit(disk_s, branch_done);
-        }
-      }
-    }
-  };
-
-  // Self-rescheduling arrival loop per workload.
-  std::function<void(SourceCtx*)> arrive = [&](SourceCtx* ctx) {
-    execute(*ctx);
-    double gap = -std::log(ctx->rng.NextDoubleOpen()) / ctx->spec->arrival_rate;
-    if (state.sim.Now().seconds() + gap < config.duration_s) {
-      state.sim.Schedule(SimTime::Seconds(gap), [&arrive, ctx] { arrive(ctx); });
-    }
-  };
   for (auto& ctx : sources) {
     double first = -std::log(ctx->rng.NextDoubleOpen()) /
                    ctx->spec->arrival_rate;
     SourceCtx* raw = ctx.get();
     state.sim.Schedule(SimTime::Seconds(first),
-                       [&arrive, raw] { arrive(raw); });
+                       [&state, raw] { state.Arrive(raw); });
   }
 
   // --- cluster events -----------------------------------------------------
   RngStream repair_rng = root.Substream("repair-traffic");
-  // deque: stable addresses, so scheduled events can hold references.
-  std::deque<std::function<void()>> repair_injectors;
+  state.repair_rng = &repair_rng;
   for (const OutageEvent& ev : outages) {
     if (ev.node < 0 || ev.node >= config.num_nodes) {
       return Status::InvalidArgument("outage node out of range");
@@ -237,28 +288,9 @@ Result<PerfSimResult> RunPerfSim(const PerfSimConfig& config,
                          [&state, ev] {
                            state.nodes[static_cast<size_t>(ev.node)].up = true;
                          });
-    // Repair I/O on survivors during the outage: Poisson background disk
-    // jobs spread over live nodes. Each injector lives in repair_injectors
-    // (which outlives the simulation run) and its events capture it by
-    // reference — a shared_ptr captured inside its own closure would be a
-    // reference cycle and leak (LeakSanitizer caught exactly that).
     if (ev.repair_disk_jobs_per_s > 0) {
-      repair_injectors.emplace_back();
-      std::function<void()>& inject = repair_injectors.back();
-      inject = [&state, ev, &repair_rng, &inject,
-                num_nodes = config.num_nodes] {
-        double now = state.sim.Now().seconds();
-        if (now >= ev.at_s + ev.duration_s) return;
-        int victim =
-            static_cast<int>(repair_rng.UniformInt(0, num_nodes - 1));
-        if (victim == ev.node) victim = (victim + 1) % num_nodes;
-        auto& node = state.nodes[static_cast<size_t>(victim)];
-        if (node.up) node.disk->Submit(ev.repair_disk_service_s, nullptr);
-        double gap =
-            -std::log(repair_rng.NextDoubleOpen()) / ev.repair_disk_jobs_per_s;
-        state.sim.Schedule(SimTime::Seconds(gap), [&inject] { inject(); });
-      };
-      state.sim.ScheduleAt(SimTime::Seconds(ev.at_s), [&inject] { inject(); });
+      state.sim.ScheduleAt(SimTime::Seconds(ev.at_s),
+                           [&state, &ev] { state.InjectRepair(&ev); });
     }
   }
   for (const DegradeEvent& ev : degrades) {

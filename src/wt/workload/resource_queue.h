@@ -5,8 +5,8 @@
 #define WT_WORKLOAD_RESOURCE_QUEUE_H_
 
 #include <cstdint>
-#include <deque>
 #include <string>
+#include <vector>
 
 #include "wt/common/inline_fn.h"
 #include "wt/sim/simulator.h"
@@ -31,9 +31,13 @@ class ResourceQueue {
   ResourceQueue& operator=(const ResourceQueue&) = delete;
 
   /// Enqueues a job needing `service_seconds` of one server's time;
-  /// `on_done` fires at completion. InlineFn keeps the request hot path
-  /// (submit → dispatch → completion event) allocation-free for captures
-  /// up to 48 bytes — every call site in perf_sim qualifies.
+  /// `on_done` fires at completion, and its captures are destroyed right
+  /// after. The queue owns `on_done` until then: in a per-server slot while
+  /// the job is in service (the completion event captures only the queue
+  /// and the server index), in the waiting ring before that. The slots are
+  /// sized once and the ring only grows to the queue's high water, so
+  /// otherwise a job costs no heap allocation as long as `on_done` fits
+  /// InlineFn's inline buffer.
   void Submit(double service_seconds, InlineFn on_done);
 
   /// Sets the performance factor applied to jobs dispatched from now on
@@ -42,8 +46,10 @@ class ResourceQueue {
   double perf_factor() const { return perf_factor_; }
 
   int64_t completed() const { return completed_; }
-  int busy_servers() const { return busy_; }
-  size_t queue_length() const { return waiting_.size(); }
+  int busy_servers() const {
+    return servers_ - static_cast<int>(free_servers_.size());
+  }
+  size_t queue_length() const { return waiting_; }
 
   /// Time-averaged fraction of servers busy up to `now`.
   double Utilization(SimTime now) const;
@@ -54,21 +60,30 @@ class ResourceQueue {
 
  private:
   struct Job {
-    double service_seconds;
+    double service_seconds = 0.0;
+    double enqueue_seconds = 0.0;  // Submit() time, for the wait histogram
     InlineFn on_done;
-    double enqueue_seconds;  // Submit() time, for the wait histogram
   };
 
-  void Dispatch(Job job);
-  void OnJobDone(InlineFn on_done);
+  // Starts a job on an idle server; `on_done` moves into its slot.
+  void Dispatch(double service_seconds, double enqueue_seconds,
+                InlineFn&& on_done);
+  void OnJobDone(int server);
+  void GrowRing();
   void RecordState();
 
   Simulator* sim_;
   int servers_;
   std::string name_;
   double perf_factor_ = 1.0;
-  int busy_ = 0;
-  std::deque<Job> waiting_;
+  /// in_service_[s]: on_done of the job server s is serving.
+  std::vector<InlineFn> in_service_;
+  std::vector<int> free_servers_;  // LIFO stack of idle server indices
+  /// Waiting jobs, FIFO: a ring of power-of-two size that doubles when
+  /// full and never shrinks; waiting_ jobs start at ring_[head_].
+  std::vector<Job> ring_;
+  size_t head_ = 0;
+  size_t waiting_ = 0;
   int64_t completed_ = 0;
   size_t waiting_hw_ = 0;  // queue-length high water (for obs flush)
   LogHistogram wait_hist_;  // per-job wait in simulated ms (for obs flush)

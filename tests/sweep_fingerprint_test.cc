@@ -19,6 +19,7 @@
 
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "wt/core/orchestrator.h"
@@ -278,6 +279,101 @@ TEST(SweepFingerprintTest, Fig1GridMatchesPerUserScanEstimator) {
     ASSERT_EQ(records->size(), 72u);
     EXPECT_EQ(FingerprintRecords(*records), kGoldenFig1Grid)
         << "workers=" << workers;
+  }
+}
+
+// The queueing-network simulation (RunPerfSim) behind the "performance"
+// and "provisioning" simulations. Each golden hashes every metric of every
+// RunRecord, not only the rows that satisfy a WHERE clause, and was
+// captured from the ResourceQueue that kept waiting jobs in a std::deque
+// and scheduled a completion lambda carrying each job's callback, and the
+// perf_sim that built per-request replica vectors and shared join
+// counters (commit 6072f3b, GCC 12 / x86-64 RelWithDebInfo), before that
+// request path was made allocation-free.
+constexpr const char* kGoldenE9Grid = "a8c7834dd90eb6f9";
+constexpr const char* kGoldenE4Grid = "2af6aeb04dc60ca4";
+constexpr const char* kGoldenPerfOutage = "bf03f251e6a08cc9";
+
+// Sweeps `space` with the hardware clamp off at workers 1 and 8, so the
+// pool path runs even on a small host, and checks both against `golden`.
+void ExpectSweepFingerprint(const DesignSpace& space, const RunFn& fn,
+                            const std::vector<SlaConstraint>& where,
+                            const std::vector<MonotoneHint>& hints,
+                            uint64_t seed, const char* golden,
+                            std::vector<RunRecord>* last = nullptr) {
+  for (int workers : {1, 8}) {
+    SweepOptions opts;
+    opts.num_workers = workers;
+    opts.clamp_workers_to_hardware = false;
+    opts.seed = seed;
+    RunOrchestrator orch(opts);
+    auto records = orch.Sweep(space, fn, where, hints);
+    ASSERT_TRUE(records.ok()) << records.status().ToString();
+    for (const RunRecord& r : *records) {
+      EXPECT_EQ(r.status, RunStatus::kCompleted) << r.error;
+    }
+    EXPECT_EQ(FingerprintRecords(*records), golden) << "workers=" << workers;
+    if (last != nullptr) *last = std::move(*records);
+  }
+}
+
+// A committed scenario's grid at its pinned seed (1 when it pins none),
+// as `wtq --scenario` sweeps it.
+void ExpectScenarioFingerprint(const std::string& name, const RunFn& fn,
+                               size_t points, const char* golden) {
+  auto path = scenario::FindScenarioPath(name);
+  ASSERT_TRUE(path.ok()) << path.status().ToString();
+  auto spec = scenario::LoadScenarioFile(*path);
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  auto space = BuildQuerySpace(spec->query);
+  ASSERT_TRUE(space.ok()) << space.status().ToString();
+  ASSERT_EQ(space->size(), points);
+  ExpectSweepFingerprint(*space, fn, spec->query.constraints,
+                         spec->query.hints, spec->has_seed ? spec->seed : 1,
+                         golden);
+}
+
+TEST(SweepFingerprintTest, E9LimpwareGridMatchesParentRequestPath) {
+  ExpectScenarioFingerprint("e9_limpware", MakePerformanceSim(), 4,
+                            kGoldenE9Grid);
+}
+
+TEST(SweepFingerprintTest, E4ProvisioningGridMatchesParentRequestPath) {
+  ExpectScenarioFingerprint("e4_provisioning", MakeProvisioningSim(), 10,
+                            kGoldenE4Grid);
+}
+
+// Half the requests are writes, so most fan out to every live replica; a
+// colocated secondary workload shares the queues; node 1 is down from 10 s
+// to 40 s while repair jobs land on the survivors' disks; and a limping
+// NIC on node 2 slows jobs dispatched after 20 s. At replication 1 the
+// outage leaves some keys with no live replica, so requests fail.
+TEST(SweepFingerprintTest, PerfOutageSweepMatchesParentRequestPath) {
+  DesignSpace space;
+  ASSERT_TRUE(space.AddDimension("replication", {1, 3}).ok());
+  ASSERT_TRUE(space.AddDimension("limp_nic_node", {-1, 2}).ok());
+  ASSERT_TRUE(space.AddDimension("duration_s", {60.0}).ok());
+  ASSERT_TRUE(space.AddDimension("warmup_s", {5.0}).ok());
+  ASSERT_TRUE(space.AddDimension("rate", {300.0}).ok());
+  ASSERT_TRUE(space.AddDimension("read_fraction", {0.5}).ok());
+  ASSERT_TRUE(space.AddDimension("colocated_rate", {150.0}).ok());
+  ASSERT_TRUE(space.AddDimension("outage_at_s", {10.0}).ok());
+  ASSERT_TRUE(space.AddDimension("outage_node", {1}).ok());
+  ASSERT_TRUE(space.AddDimension("outage_s", {30.0}).ok());
+  ASSERT_TRUE(space.AddDimension("repair_jobs_per_s", {40.0}).ok());
+  ASSERT_TRUE(space.AddDimension("limp_at_s", {20.0}).ok());
+  ASSERT_TRUE(space.AddDimension("limp_factor", {0.2}).ok());
+  std::vector<RunRecord> records;
+  ExpectSweepFingerprint(space, MakePerformanceSim(), {}, {}, 77,
+                         kGoldenPerfOutage, &records);
+  ASSERT_EQ(records.size(), 4u);
+  for (const RunRecord& r : records) {
+    const double failed = r.metrics.at("failed_requests");
+    if (r.point.GetInt("replication", 0) == 1) {
+      EXPECT_GT(failed, 0.0) << r.point.ToString();
+    } else {
+      EXPECT_EQ(failed, 0.0) << r.point.ToString();
+    }
   }
 }
 

@@ -98,7 +98,8 @@ struct Config {
   std::vector<std::string> determinism_allowlist = {"src/wt/obs/wallclock.cc"};
   // Path prefixes (root-relative) where hot-path rules apply.
   std::vector<std::string> hot_paths = {"src/wt/sim/",
-                                        "src/wt/workload/resource_queue"};
+                                        "src/wt/workload/resource_queue",
+                                        "src/wt/workload/perf_sim"};
   // Path prefixes where unordered containers may not feed serialized output.
   std::vector<std::string> serialization_paths = {"src/wt/obs/",
                                                   "src/wt/store/"};
