@@ -1,7 +1,6 @@
 #include "wt/core/design_space.h"
 
 #include "wt/common/macros.h"
-#include "wt/common/string_util.h"
 
 namespace wt {
 
@@ -37,11 +36,18 @@ std::string DesignPoint::GetString(const std::string& dim,
 }
 
 std::string DesignPoint::ToString() const {
-  std::vector<std::string> parts;
-  for (const auto& [k, v] : values_) {
-    parts.push_back(k + "=" + v.ToString());
+  std::string out;
+  AppendTo(&out);
+  return out;
+}
+
+void DesignPoint::AppendTo(std::string* out) const {
+  const char* sep = "";
+  for (const auto& [name, value] : values_) {
+    out->append(sep).append(name).push_back('=');
+    value.AppendTo(out);
+    sep = ", ";
   }
-  return StrJoin(parts, ", ");
 }
 
 Status DesignSpace::AddDimension(std::string name,

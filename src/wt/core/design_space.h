@@ -40,6 +40,8 @@ class DesignPoint {
 
   /// "a=1, b=ssd" — deterministic (map-ordered).
   std::string ToString() const;
+  /// Appends ToString()'s text to `*out` without a temporary string.
+  void AppendTo(std::string* out) const;
 
  private:
   std::map<std::string, Value> values_;

@@ -34,10 +34,13 @@ RunOrchestrator::RunOrchestrator(SweepOptions options) : options_(options) {
 
 std::string SweepConfigHash(const std::vector<DesignPoint>& points,
                             const std::vector<SlaConstraint>& constraints) {
+  // One buffer, sized from the first point's line: grid points render to
+  // similar lengths, and a quarter spare covers the longer ones.
   std::string buf;
   for (const DesignPoint& p : points) {
-    buf += p.ToString();
+    p.AppendTo(&buf);
     buf += '\n';
+    if (&p == &points.front()) buf.reserve(buf.size() * points.size() * 5 / 4);
   }
   for (const SlaConstraint& c : constraints) {
     buf += c.ToString();
@@ -123,7 +126,7 @@ Result<std::vector<RunRecord>> RunOrchestrator::Sweep(
     for (size_t idx : wave) {
       RunRecord& rec = records[idx];
       rec.run_id = idx;
-      rec.point = points[idx];
+      rec.point = std::move(points[idx]);
       if (index.IsDominated(idx)) {
         rec.status = RunStatus::kPruned;
         rec.sla_satisfied = false;

@@ -94,11 +94,12 @@ struct SweepOptions {
   std::string scenario_hash;
 };
 
-/// Provenance hash of a sweep configuration: FNV-1a over the ordered design
-/// points plus the SLA constraints, rendered as 16 hex digits. This is the
-/// `config_hash` recorded in every RunManifest, and — combined with the
-/// seed — the identity the serve-layer SweepCache keys on: two sweeps with
-/// equal hashes and seeds produce byte-identical records.
+/// Provenance hash of a sweep configuration: FNV-1a over each point's
+/// ToString text and each constraint's, one per line, in the order given,
+/// as 16 hex digits. Sweep hashes its points in run (best-first) order for
+/// the RunManifest's `config_hash`; serve::Server::CacheKeyFor hashes
+/// space.AllPoints() in grid order inside the serve cache key. They agree
+/// when there are no hints, since run order is then grid order.
 std::string SweepConfigHash(const std::vector<DesignPoint>& points,
                             const std::vector<SlaConstraint>& constraints);
 

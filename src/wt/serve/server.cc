@@ -138,7 +138,7 @@ Result<ServeReply> Server::ServeSpec(const QuerySpec& spec) {
   if (entry->config_hash != config_hash) {
     // The 64-bit serve key collided across two distinct sweep configs.
     // Refuse rather than silently serve another config's rows; the inner
-    // manifest hash is computed over different input, so a double
+    // grid-order config hash is computed over different input, so a double
     // collision is what it would take to get past this check.
     obs::CountIfEnabled("serve.cache.key_collision", 1);
     return Status::Internal("sweep cache key collision on " + key);

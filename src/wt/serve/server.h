@@ -117,10 +117,11 @@ class Server {
   size_t live_connections() const;
 
  private:
-  /// Cache identity of `spec`'s sweep: hex FNV-1a over the manifest config
-  /// hash (points + constraints) plus seed, simulation name, hints,
-  /// replications, and the pruning flag. `config_hash` receives the inner
-  /// manifest hash.
+  /// Cache identity of `spec`'s sweep: hex FNV-1a over SweepConfigHash of
+  /// `space`'s points in grid order plus the constraints, then seed,
+  /// simulation name, hints, replications, and the pruning flag.
+  /// `config_hash` receives that inner hash, which differs from the
+  /// manifest's run-order hash when the query has hints.
   std::string CacheKeyFor(const QuerySpec& spec, const DesignSpace& space,
                           std::string* config_hash) const;
 

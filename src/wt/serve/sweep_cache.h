@@ -2,13 +2,13 @@
 // repeated what-if queries are answered from the result store in
 // microseconds instead of re-simulating (DESIGN.md §8).
 //
-// The key is the serve-layer cache key — a hex digest over the sweep's
-// RunManifest config hash (SweepConfigHash: ordered design points + SLA
-// constraints), the seed, the simulation name, the monotone hints, the
-// replication count, and the pruning flag (Server::CacheKeyFor). Everything
-// that can change one byte of the stored sweep table is in the key;
-// anything applied after the sweep (ORDER BY, LIMIT) is not, so queries
-// differing only in post-processing share one entry.
+// The key is the serve-layer cache key — a hex digest over SweepConfigHash
+// of the space's points in grid order plus the SLA constraints, the seed,
+// the simulation name, the monotone hints, the replication count, and the
+// pruning flag (Server::CacheKeyFor). Everything that can change one byte
+// of the stored sweep table is in the key; anything applied after the
+// sweep (ORDER BY, LIMIT) is not, so queries differing only in
+// post-processing share one entry.
 //
 // Entries are immutable after insertion and the map's nodes give them
 // stable addresses, so Lookup hands out raw pointers that stay valid for
@@ -28,7 +28,9 @@ namespace wt {
 namespace serve {
 
 /// What one completed sweep left behind: the name of its (immutable) table
-/// in the ResultStore, the manifest config hash, and the sweep statistics.
+/// in the ResultStore, the grid-order config hash of its key (not the
+/// manifest's run-order one when the query has hints), and the sweep
+/// statistics.
 struct CachedSweep {
   std::string table;
   std::string config_hash;

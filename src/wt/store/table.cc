@@ -173,19 +173,19 @@ std::string Table::ToCsv() const {
   for (const auto& row : rows_) {
     for (size_t c = 0; c < row.size(); ++c) {
       if (c > 0) out += ",";
-      std::string cell = row[c].ToString();
+      const size_t start = out.size();
+      row[c].AppendTo(&out);
       // Quote cells containing separators.
-      if (cell.find(',') != std::string::npos ||
-          cell.find('"') != std::string::npos) {
-        std::string quoted = "\"";
+      if (out.find_first_of(",\"", start) != std::string::npos) {
+        const std::string cell = out.substr(start);
+        out.resize(start);
+        out += '"';
         for (char ch : cell) {
-          if (ch == '"') quoted += '"';
-          quoted += ch;
+          if (ch == '"') out += '"';
+          out += ch;
         }
-        quoted += '"';
-        cell = quoted;
+        out += '"';
       }
-      out += cell;
     }
     out += "\n";
   }

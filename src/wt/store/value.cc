@@ -1,7 +1,9 @@
 #include "wt/store/value.h"
 
+#include <charconv>
+#include <cstdio>
+
 #include "wt/common/macros.h"
-#include "wt/common/string_util.h"
 
 namespace wt {
 
@@ -68,19 +70,31 @@ Result<double> Value::ToNumeric() const {
 }
 
 std::string Value::ToString() const {
+  std::string out;
+  AppendTo(&out);
+  return out;
+}
+
+void Value::AppendTo(std::string* out) const {
+  char buf[32] = {};  // "%.10g" takes at most 17 ("-1.234567891e-308")
   switch (type()) {
     case ValueType::kNull:
-      return "null";
+      out->append("null");
+      return;
     case ValueType::kBool:
-      return AsBool() ? "true" : "false";
+      out->append(AsBool() ? "true" : "false");
+      return;
     case ValueType::kInt:
-      return StrFormat("%lld", static_cast<long long>(AsInt()));
+      out->append(buf, std::to_chars(buf, buf + sizeof(buf), AsInt()).ptr);
+      return;
     case ValueType::kDouble:
-      return StrFormat("%.10g", AsDouble());
+      out->append(buf, static_cast<size_t>(std::snprintf(
+                           buf, sizeof(buf), "%.10g", AsDouble())));
+      return;
     case ValueType::kString:
-      return AsString();
+      out->append(AsString());
+      return;
   }
-  return "";
 }
 
 namespace {

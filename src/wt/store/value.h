@@ -41,6 +41,9 @@ class Value {
 
   /// Renders for CSV / debugging.
   std::string ToString() const;
+  /// Appends ToString()'s text to `*out`: the one renderer behind the debug
+  /// text, Table::ToCsv and SweepConfigHash, so they cannot drift apart.
+  void AppendTo(std::string* out) const;
 
   /// Total order within same type; numerics compare cross-type (int vs
   /// double); everything else compares by type tag then value.

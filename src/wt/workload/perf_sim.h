@@ -88,6 +88,9 @@ struct WorkloadResult {
   int64_t completed = 0;
   /// Requests that found no live replica.
   int64_t failed = 0;
+  /// completed / (duration_s - warmup_s), biased high on a backed-up
+  /// cluster: `completed` counts the backlog drained after duration_s and
+  /// filters warm-up by completion, not arrival, time (ROADMAP open item).
   double throughput_per_s = 0.0;
 };
 

@@ -206,6 +206,24 @@ TEST(WtlintRules, DeterminismFlowNeedsBothContainerAndSink) {
   EXPECT_EQ(CountRule(r, "determinism-flow/unordered-sink"), 0);
 }
 
+// Value::AppendTo renders the same bytes as ToString into a caller's
+// buffer, so a TU that renders only through it is still a sink.
+TEST(WtlintRules, DeterminismFlowSeesAppendToSink) {
+  const char* appends =
+      "#include <unordered_map>\n"
+      "void Render(const std::unordered_map<int, wt::Value>& cells,\n"
+      "            std::string* out) {\n"
+      "  for (const auto& [k, v] : cells) v.AppendTo(out);\n"
+      "}\n";
+  AnalysisResult r = Analyze({{"src/wt/query/fixture.cc", appends}}, Config{});
+  ASSERT_EQ(CountRule(r, "determinism-flow/unordered-sink"), 1);
+  for (const Finding& f : r.findings) {
+    if (f.rule != "determinism-flow/unordered-sink") continue;
+    EXPECT_NE(f.message.find("AppendTo() at line 4"), std::string::npos)
+        << f.message;
+  }
+}
+
 TEST(WtlintDeps, LayerBackEdgeFires) {
   AnalysisResult r = AnalyzeAll();
   ASSERT_EQ(CountRule(r, "deps/layer-back-edge"), 1);

@@ -122,7 +122,7 @@ struct Config {
   std::vector<std::string> flow_sinks = {
       "ToJson",   "ToString",        "ToCsv",       "Serialize",
       "ToText",   "SaveResultStore", "Fnv1a64",     "SweepConfigHash",
-      "ScenarioHash", "WriteFrame",  "AppendJson"};
+      "ScenarioHash", "WriteFrame",  "AppendJson",  "AppendTo"};
   // The committed layering DAG (tools/wtlint/layers.json; deps/ family).
   LayerConfig layer_config = DefaultLayerConfig();
 };
