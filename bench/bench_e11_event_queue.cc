@@ -13,13 +13,12 @@
 // Each workload runs twice in the same binary: once on the current
 // wt::EventQueue and once on SeedEventQueue, a frozen copy of the seed
 // implementation (std::priority_queue + shared_ptr cancellation +
-// std::function callbacks). Measuring both on the same machine makes
-// "speedup_vs_seed" in BENCH_e11.json an honest same-conditions ratio
-// rather than a number imported from someone else's hardware.
+// std::function callbacks). Measuring both on the same machine makes the
+// speedup column an honest same-conditions ratio rather than a number
+// imported from someone else's hardware.
 //
-// Writes BENCH_e11.json (schema: bench/bench_json.h) to seed the perf
-// trajectory; google-benchmark registrations are provided for interactive
-// profiling of the live queue.
+// google-benchmark registrations are provided for interactive profiling of
+// the live queue.
 
 #include <benchmark/benchmark.h>
 
@@ -30,7 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "bench_json.h"
 #include "bench_main.h"
 #include "wt/obs/wallclock.h"
 #include "wt/sim/event_queue.h"
@@ -39,7 +37,7 @@ namespace {
 
 // ------------------------------------------------------------------------
 // Frozen seed implementation (pre-PR-2 event queue), kept verbatim modulo
-// naming so the ratio in BENCH_e11.json is measured, not remembered.
+// naming so the speedup column is measured, not remembered.
 // ------------------------------------------------------------------------
 
 struct SeedEventState {
@@ -266,20 +264,11 @@ void RunComparisons() {
               "InlineFn), same binary, same machine\n\n");
   std::printf("%-24s %-14s %-14s %-9s\n", "workload", "seed ev/s",
               "new ev/s", "speedup");
-  std::vector<wt::bench::BenchEntry> entries;
   for (const Comparison& c : rows) {
     std::printf("%-24s %-14.3g %-14.3g %-9.2f\n", c.name.c_str(), c.seed_eps(),
                 c.new_eps(), c.speedup());
-    wt::bench::BenchEntry e;
-    e.name = c.name;
-    e.wall_seconds = c.new_seconds;
-    e.events_per_sec = c.new_eps();
-    e.speedup_vs_seed = c.speedup();
-    entries.push_back(e);
   }
-  std::string path = wt::bench::WriteBenchJson("e11", entries);
-  std::printf("\nwrote %s\n\n", path.empty() ? "(nothing: fs read-only)"
-                                             : path.c_str());
+  std::printf("\n\n");
 }
 
 // --- google-benchmark registrations for the live queue (profiling aid) ---

@@ -13,7 +13,6 @@
 #include <cstdio>
 #include <string>
 
-#include "bench_json.h"
 #include "bench_main.h"
 #include "wt/analytics/combinatorics.h"
 #include "wt/obs/obs.h"
@@ -27,7 +26,7 @@ double Num(const wt::Table& t, size_t row, const char* col) {
 
 }  // namespace
 
-int BenchMain(wt::bench::BenchContext& ctx) {
+int BenchMain(wt::bench::BenchContext&) {
   using namespace wt;
 
   std::printf(
@@ -69,19 +68,8 @@ int BenchMain(wt::bench::BenchContext& ctx) {
   }
   std::printf("\n");
   obs::CountIfEnabled("fig1.mc_trials", trials);
-
-  double seconds = ctx.SecondsElapsed();
-  wt::bench::BenchEntry e;
-  e.name = "fig1_full_sweep";
-  e.wall_seconds = seconds;
-  // Closed-form Monte-Carlo path: no DES events. v1 published trials/sec
-  // under "events_per_sec"; schema v2 gives trials their own field.
-  e.events_per_sec = 0.0;
-  e.trials_per_sec = static_cast<double>(trials) / seconds;
-  std::string path = wt::bench::WriteBenchJson("fig1", {e});
-  if (!path.empty()) std::printf("wrote %s\n\n", path.c_str());
   std::printf(
-      "Shape checks (paper): unavailability rises with f; n=5 curves sit\n"
+      "\nShape checks (paper): unavailability rises with f; n=5 curves sit\n"
       "below n=3 at the same (N, f); the placement policy separates the\n"
       "curves strongly (with 10,000 users, Random saturates at f = quorum\n"
       "losses while RoundRobin climbs gradually with the number of\n"

@@ -8,9 +8,8 @@
 //   int BenchMain(wt::bench::BenchContext& ctx);
 //
 // and this header supplies main(): an EnvObsSession (so WT_TRACE=t.json /
-// WT_METRICS=m.json work for EVERY bench), a labeled main thread, and a
-// started wall clock. Include this header exactly once, from the bench's
-// own .cc file.
+// WT_METRICS=m.json work for EVERY bench) and a labeled main thread.
+// Include this header exactly once, from the bench's own .cc file.
 //
 // Scenario-driven benches (E2, E9, fig1, ...) additionally use
 // RunScenarioQuery(ref): it loads a scenario file from the committed
@@ -22,14 +21,12 @@
 #ifndef WT_BENCH_BENCH_MAIN_H_
 #define WT_BENCH_BENCH_MAIN_H_
 
-#include <cstdint>
 #include <string>
 #include <utility>
 
 #include "wt/common/macros.h"
 #include "wt/common/result.h"
 #include "wt/obs/obs.h"
-#include "wt/obs/wallclock.h"
 #include "wt/query/builtin_sims.h"
 #include "wt/query/executor.h"
 #include "wt/scenario/scenario.h"
@@ -41,12 +38,6 @@ namespace bench {
 struct BenchContext {
   int argc = 0;
   char** argv = nullptr;
-  /// Wall clock started right before BenchMain.
-  int64_t start_nanos = 0;
-
-  double SecondsElapsed() const {
-    return obs::WallSecondsSince(start_nanos);
-  }
 };
 
 /// A scenario answered end-to-end: the compiled spec plus the query
@@ -90,7 +81,6 @@ int main(int argc, char** argv) {
   wt::bench::BenchContext ctx;
   ctx.argc = argc;
   ctx.argv = argv;
-  ctx.start_nanos = wt::obs::WallNanos();
   return BenchMain(ctx);
 }
 

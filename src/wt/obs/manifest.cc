@@ -8,7 +8,6 @@
 #include <cstring>
 #include <thread>
 
-#include "wt/common/json.h"
 #include "wt/common/string_util.h"
 #include "wt/obs/wallclock.h"
 
@@ -122,31 +121,6 @@ RunManifest CollectRunManifest(uint64_t seed, std::string config_hash) {
   m.config_hash = std::move(config_hash);
   m.created_at_utc = UtcNowIso8601();
   return m;
-}
-
-std::string ManifestToJson(const RunManifest& m, int indent) {
-  const std::string pad(static_cast<size_t>(indent), ' ');
-  const std::string field_pad = pad + "  ";
-  std::string out = "{\n";
-  auto field = [&](const char* key, const std::string& value, bool last) {
-    out += field_pad + StrFormat("\"%s\": %s%s\n", key,
-                                 json::Quote(value).c_str(), last ? "" : ",");
-  };
-  out += field_pad + StrFormat("\"seed\": %llu,\n",
-                               static_cast<unsigned long long>(m.seed));
-  field("config_hash", m.config_hash, false);
-  field("scenario_hash", m.scenario_hash, false);
-  field("git_commit", m.git_commit, false);
-  field("compiler", m.compiler, false);
-  field("build_type", m.build_type, false);
-  field("cpu_model", m.cpu_model, false);
-  out += field_pad +
-         StrFormat("\"hardware_threads\": %d,\n", m.hardware_threads);
-  field("hostname", m.hostname, false);
-  field("created_at_utc", m.created_at_utc, false);
-  out += field_pad + StrFormat("\"wall_seconds\": %.6f\n", m.wall_seconds);
-  out += pad + "}";
-  return out;
 }
 
 Status StoreManifest(ResultStore* store, const std::string& table,

@@ -2,10 +2,10 @@
 //
 // Answers "what exactly produced these numbers?" — the seed, the code
 // version, the toolchain, the host — so RunRecords, persisted result
-// tables, and BENCH_*.json perf-trajectory files are comparable across
-// machines and commits (DESIGN.md § Observability). Host and toolchain
-// facts are collected once per process; per-sweep fields (seed, config
-// hash, wall time) are filled by the orchestrator.
+// tables, and bench_suite results are comparable across machines and
+// commits (DESIGN.md § Observability). Host and toolchain facts are
+// collected once per process; per-sweep fields (seed, config hash, wall
+// time) are filled by the orchestrator.
 
 #ifndef WT_OBS_MANIFEST_H_
 #define WT_OBS_MANIFEST_H_
@@ -58,9 +58,6 @@ int DetectedHardwareThreads();
 /// Collects a manifest: cached host/toolchain facts plus the given
 /// per-run fields. Cheap after the first call in a process.
 RunManifest CollectRunManifest(uint64_t seed, std::string config_hash);
-
-/// JSON object rendering (used by bench_json.h and metrics exports).
-std::string ManifestToJson(const RunManifest& m, int indent = 0);
 
 /// Persists `m` as a two-column (key:string, value:string) table named
 /// `table` in `store` — the round-trippable wt::store form.

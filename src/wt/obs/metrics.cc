@@ -59,11 +59,7 @@ MetricsRegistry& MetricsRegistry::Default() {
 }
 
 void MetricsRegistry::set_enabled(bool on) {
-#if WT_OBS_ENABLED
   enabled_.store(on, std::memory_order_relaxed);
-#else
-  (void)on;
-#endif
 }
 
 Counter* MetricsRegistry::GetCounter(const std::string& name) {

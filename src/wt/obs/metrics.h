@@ -27,10 +27,6 @@
 //    lifetime, so hot loops cache them and pay one atomic add per update.
 //  * Observability never touches RNG streams or event ordering: instruments
 //    are pure write-only sinks.
-//
-// Compile-time kill switch: building with -DWT_OBS_ENABLED=0 (CMake option
-// WT_OBS=OFF) pins enabled() to false so the optimizer deletes every
-// instrumentation branch outright.
 
 #ifndef WT_OBS_METRICS_H_
 #define WT_OBS_METRICS_H_
@@ -44,10 +40,6 @@
 #include <vector>
 
 #include "wt/stats/histogram.h"
-
-#ifndef WT_OBS_ENABLED
-#define WT_OBS_ENABLED 1
-#endif
 
 namespace wt {
 namespace obs {
@@ -161,13 +153,7 @@ class MetricsRegistry {
   /// Runtime kill switch. Disabled (the default) means instrumentation
   /// sites take one relaxed-load branch and touch nothing.
   void set_enabled(bool on);
-  bool enabled() const {
-#if WT_OBS_ENABLED
-    return enabled_.load(std::memory_order_relaxed);
-#else
-    return false;
-#endif
-  }
+  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
   Counter* GetCounter(const std::string& name);
   Gauge* GetGauge(const std::string& name);

@@ -32,16 +32,12 @@ TraceEmitter& TraceEmitter::Default() {
 }
 
 void TraceEmitter::Start(size_t capacity_per_thread) {
-#if WT_OBS_ENABLED
   std::lock_guard<std::mutex> lock(mu_);
   buffers_.clear();
   capacity_per_thread_ = capacity_per_thread;
   epoch_us_ = WallMicros();
   session_.fetch_add(1, std::memory_order_relaxed);
   active_.store(true, std::memory_order_relaxed);
-#else
-  (void)capacity_per_thread;
-#endif
 }
 
 void TraceEmitter::Stop() { active_.store(false, std::memory_order_relaxed); }

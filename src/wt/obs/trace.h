@@ -31,7 +31,6 @@
 
 #include "wt/common/macros.h"
 #include "wt/common/status.h"
-#include "wt/obs/metrics.h"  // for WT_OBS_ENABLED
 #include "wt/obs/wallclock.h"
 
 namespace wt {
@@ -66,13 +65,7 @@ class TraceEmitter {
   /// Stops recording. Buffers remain readable until the next Start().
   void Stop();
 
-  bool active() const {
-#if WT_OBS_ENABLED
-    return active_.load(std::memory_order_relaxed);
-#else
-    return false;
-#endif
-  }
+  bool active() const { return active_.load(std::memory_order_relaxed); }
 
   /// Microseconds since Start() on the steady clock.
   int64_t NowMicros() const;
@@ -153,7 +146,6 @@ class TraceScope {
 }  // namespace obs
 }  // namespace wt
 
-#if WT_OBS_ENABLED
 /// Span covering the enclosing scope. Category/name must be literals.
 #define WT_TRACE_SCOPE(cat, name) \
   ::wt::obs::TraceScope WT_MACRO_CONCAT(wt_trace_scope_, __LINE__)(cat, name)
@@ -165,10 +157,5 @@ class TraceScope {
 #define WT_TRACE_INSTANT_ARG(cat, name, arg_name, arg_value)          \
   ::wt::obs::TraceEmitter::Default().Instant(                         \
       cat, name, arg_name, static_cast<int64_t>(arg_value))
-#else
-#define WT_TRACE_SCOPE(cat, name) ((void)0)
-#define WT_TRACE_SCOPE_ARG(cat, name, arg_name, arg_value) ((void)0)
-#define WT_TRACE_INSTANT_ARG(cat, name, arg_name, arg_value) ((void)0)
-#endif
 
 #endif  // WT_OBS_TRACE_H_

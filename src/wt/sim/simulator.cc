@@ -80,7 +80,6 @@ void Simulator::RunUntil(SimTime t_end) {
 }
 
 void Simulator::AttachDefaultObs() {
-#if WT_OBS_ENABLED
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
   const bool metrics_on = reg.enabled();
   const bool trace_on = obs::TraceEmitter::Default().active();
@@ -97,12 +96,10 @@ void Simulator::AttachDefaultObs() {
     obs_wall_ns_ = nullptr;
     obs_depth_hw_ = nullptr;
   }
-#endif
 }
 
 void Simulator::FlushObs(SimTime sim_start, int64_t events_start,
                          int64_t wall_ns) {
-#if WT_OBS_ENABLED
   const int64_t events = events_processed_ - events_start;
   if (obs_events_ != nullptr) {
     obs_events_->Add(events);
@@ -116,11 +113,6 @@ void Simulator::FlushObs(SimTime sim_start, int64_t events_start,
     trace.CounterValue("sim", "sim.queue_depth_high_water",
                        obs_depth_local_);
   }
-#else
-  (void)sim_start;
-  (void)events_start;
-  (void)wall_ns;
-#endif
 }
 
 }  // namespace wt

@@ -1,5 +1,6 @@
 #include "wt/store/persistence.h"
 
+#include <charconv>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -100,7 +101,15 @@ std::string TableToTypedCsv(const Table& table) {
     for (size_t c = 0; c < schema.num_columns(); ++c) {
       if (c > 0) out += ",";
       const Value& v = table.At(r, c);
-      if (!v.is_null()) out += EscapeField(v.ToString());
+      if (v.type() == ValueType::kDouble) {
+        // Shortest round-trip form, not ToString's %.10g: a stored metric
+        // loads back bit for bit. No double text needs CSV quoting.
+        char buf[32];  // longest: "-2.2250738585072014e-308", 24 chars
+        out.append(buf,
+                   std::to_chars(buf, buf + sizeof(buf), v.AsDouble()).ptr);
+      } else if (!v.is_null()) {
+        out += EscapeField(v.ToString());
+      }
     }
     out += "\n";
   }

@@ -15,7 +15,8 @@
 namespace wt {
 
 /// Serializes a table with a typed header ("name:type" per column).
-/// Null cells render as empty fields.
+/// Null cells render as empty fields; doubles in shortest round-trip form,
+/// so TableFromTypedCsv restores them bit for bit.
 std::string TableToTypedCsv(const Table& table);
 
 /// Parses the typed CSV form back into a Table.

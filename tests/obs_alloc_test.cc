@@ -148,9 +148,6 @@ TEST(ObsAllocTest, EnabledRegistrationAllocatesExactlyAsExpected) {
   // Sanity-check the counter itself: registering a new instrument while
   // enabled must allocate, proving the zeros above are real measurements.
   if (!kCounting) GTEST_SKIP() << "allocator counting disabled (sanitizer)";
-#if !WT_OBS_ENABLED
-  GTEST_SKIP() << "observability compiled out (-DWT_OBS=OFF)";
-#endif
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
   reg.set_enabled(true);
   int64_t before = AllocCount();

@@ -1,4 +1,4 @@
-// RunManifest provenance: collection, JSON rendering, wt::store round-trip
+// RunManifest provenance: collection, wt::store round-trip
 // (including a save/load cycle through typed CSV on disk), and the sweep
 // integration — every RunRecord of a WindTunnel sweep carries the manifest
 // and the store grows a "<table>__manifest" side table.
@@ -8,7 +8,6 @@
 #include <filesystem>
 #include <string>
 
-#include "wt/common/json.h"
 #include "wt/core/wind_tunnel.h"
 #include "wt/obs/manifest.h"
 #include "wt/store/persistence.h"
@@ -31,23 +30,6 @@ TEST(ObsManifestTest, CollectFillsHostAndToolchainFacts) {
   EXPECT_EQ(m.created_at_utc[4], '-');
   EXPECT_EQ(m.created_at_utc[10], 'T');
   EXPECT_EQ(m.created_at_utc.back(), 'Z');
-}
-
-TEST(ObsManifestTest, JsonRenderingIsValid) {
-  obs::RunManifest m = obs::CollectRunManifest(7, "beef");
-  m.wall_seconds = 1.25;
-  // Host facts are whatever the machine reports; any byte must survive.
-  m.hostname = "host \"q\" \\ nl\n";
-  m.cpu_model = "cpu \"q\" \\ nl\n";
-  m.scenario_hash = "scn \"q\" \\ nl\n";
-  std::string json = obs::ManifestToJson(m);
-  auto doc = json::ParseJson(json);
-  ASSERT_TRUE(doc.ok()) << doc.status().ToString() << "\n" << json;
-  EXPECT_EQ(doc->Find("hostname")->AsString(), m.hostname);
-  EXPECT_EQ(doc->Find("cpu_model")->AsString(), m.cpu_model);
-  EXPECT_EQ(doc->Find("scenario_hash")->AsString(), m.scenario_hash);
-  EXPECT_NE(json.find("\"seed\": 7"), std::string::npos);
-  EXPECT_NE(json.find("\"config_hash\": \"beef\""), std::string::npos);
 }
 
 TEST(ObsManifestTest, StoreRoundTripThroughDisk) {

@@ -147,9 +147,6 @@ TEST(ObsMetricsTest, SnapshotJsonIsValidAndSorted) {
 }
 
 TEST(ObsMetricsTest, SweepSnapshotIsIdenticalAcrossWorkerCounts) {
-#if !WT_OBS_ENABLED
-  GTEST_SKIP() << "observability compiled out (-DWT_OBS=OFF)";
-#endif
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
   std::string first;
   for (int workers : {1, 2, 8}) {
@@ -186,9 +183,6 @@ TEST(ObsMetricsTest, SweepSnapshotIsIdenticalAcrossWorkerCounts) {
 }
 
 TEST(ObsMetricsTest, SnapshotDeltaIsolatesActivitySinceBaseline) {
-#if !WT_OBS_ENABLED
-  GTEST_SKIP() << "observability compiled out (-DWT_OBS=OFF)";
-#endif
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
   reg.ResetValues();
   reg.set_enabled(true);
@@ -224,9 +218,6 @@ TEST(ObsMetricsTest, SnapshotDeltaIsolatesActivitySinceBaseline) {
 }
 
 TEST(ObsMetricsTest, LatencyMergeFromAggregatesLocalHistogram) {
-#if !WT_OBS_ENABLED
-  GTEST_SKIP() << "observability compiled out (-DWT_OBS=OFF)";
-#endif
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
   reg.ResetValues();
   reg.set_enabled(true);

@@ -67,9 +67,6 @@ TEST(ObsTraceTest, InactiveEmitterRecordsNothing) {
 }
 
 TEST(ObsTraceTest, SweepTraceIsValidChromeJsonWithExpectedTracks) {
-#if !WT_OBS_ENABLED
-  GTEST_SKIP() << "observability compiled out (-DWT_OBS=OFF)";
-#endif
   obs::TraceEmitter& t = obs::TraceEmitter::Default();
   obs::SetThisThreadLabel("main");
   t.Start();
@@ -116,9 +113,6 @@ TEST(ObsTraceTest, SweepTraceIsValidChromeJsonWithExpectedTracks) {
 }
 
 TEST(ObsTraceTest, PrunedInstantAppearsInTrace) {
-#if !WT_OBS_ENABLED
-  GTEST_SKIP() << "observability compiled out (-DWT_OBS=OFF)";
-#endif
   obs::TraceEmitter& t = obs::TraceEmitter::Default();
   t.Start();
   SweepOptions opts;
@@ -140,9 +134,6 @@ TEST(ObsTraceTest, PrunedInstantAppearsInTrace) {
 }
 
 TEST(ObsTraceTest, FullBufferDropsNewestAndCounts) {
-#if !WT_OBS_ENABLED
-  GTEST_SKIP() << "observability compiled out (-DWT_OBS=OFF)";
-#endif
   obs::TraceEmitter& t = obs::TraceEmitter::Default();
   t.Start(/*capacity_per_thread=*/16);
   for (int i = 0; i < 100; ++i) {
@@ -157,9 +148,6 @@ TEST(ObsTraceTest, FullBufferDropsNewestAndCounts) {
 }
 
 TEST(ObsTraceTest, HostileNamesRoundTripThroughJson) {
-#if !WT_OBS_ENABLED
-  GTEST_SKIP() << "observability compiled out (-DWT_OBS=OFF)";
-#endif
   // The emitter keeps the pointers, so the strings must outlive ToJson.
   static const char kCat[] = "cat \"q\" \\ nl\n";
   static const char kName[] = "name \"q\" \\ nl\n";
@@ -199,9 +187,6 @@ TEST(ObsTraceTest, HostileNamesRoundTripThroughJson) {
 }
 
 TEST(ObsTraceTest, EnvObsSessionWritesBothFiles) {
-#if !WT_OBS_ENABLED
-  GTEST_SKIP() << "observability compiled out (-DWT_OBS=OFF)";
-#endif
   namespace fs = std::filesystem;
   const std::string trace_path =
       (fs::temp_directory_path() / "wt_obs_env_trace.json").string();

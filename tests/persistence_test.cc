@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
+#include <vector>
 
 #include "wt/store/persistence.h"
 
@@ -88,6 +93,45 @@ TEST(PersistenceTest, StoreSaveLoadRoundTrip) {
   EXPECT_DOUBLE_EQ(other->At(0, 0).AsDouble(), 3.25);
 
   std::filesystem::remove_all(dir);
+}
+
+// A stored metric must load back as the same double, not rounded to the
+// 10 significant digits that Value::ToString prints.
+TEST(PersistenceTest, DoublesRoundTripBitExact) {
+  const std::vector<double> values = {
+      0.1, 1.0 / 3, 0.12345678901234566, 1e-300, -0.0,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity()};
+  Table table(Schema({{"v", ValueType::kDouble}}));
+  for (double v : values) ASSERT_TRUE(table.AppendRow({Value(v)}).ok());
+  ASSERT_TRUE(
+      table.AppendRow({Value(std::numeric_limits<double>::quiet_NaN())}).ok());
+
+  auto expect_same = [&values](const Table& loaded) {
+    ASSERT_EQ(loaded.num_rows(), values.size() + 1);
+    for (size_t r = 0; r < values.size(); ++r) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(loaded.At(r, 0).AsDouble()),
+                std::bit_cast<uint64_t>(values[r]))
+          << "row " << r << ": " << loaded.At(r, 0).ToString();
+    }
+    EXPECT_TRUE(std::isnan(loaded.At(values.size(), 0).AsDouble()));
+  };
+
+  auto parsed = TableFromTypedCsv(TableToTypedCsv(table));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  expect_same(*parsed);
+
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "wt_persist_doubles";
+  std::filesystem::remove_all(dir);
+  ResultStore store;
+  ASSERT_TRUE(store.CreateTable("metrics", table.schema()).ok());
+  *store.GetTable("metrics").value() = table;
+  ASSERT_TRUE(SaveResultStore(store, dir.string()).ok());
+  ResultStore loaded;
+  ASSERT_TRUE(LoadResultStore(&loaded, dir.string()).ok());
+  std::filesystem::remove_all(dir);
+  expect_same(*loaded.GetTableConst("metrics").value());
 }
 
 TEST(PersistenceTest, LoadIntoNonEmptyStoreConflicts) {

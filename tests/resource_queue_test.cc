@@ -218,9 +218,6 @@ TEST(ResourceQueueTest, ZeroServiceCompletesImmediately) {
 }
 
 TEST(ResourceQueueTest, WaitTimesFlushToMetricsOnDestruction) {
-#if !WT_OBS_ENABLED
-  GTEST_SKIP() << "observability compiled out (-DWT_OBS=OFF)";
-#endif
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
   reg.ResetValues();
   reg.set_enabled(true);
