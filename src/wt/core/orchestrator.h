@@ -5,8 +5,7 @@
 //  * optimization — order runs so that dominating configurations execute
 //    first and SLA failures prune their dominated cone (DominanceIndex);
 //  * parallelization — independent runs execute on a worker pool (each run
-//    owns a private Simulator, so runs never share mutable state; this is
-//    the run-level parallelism justified by the model interaction graph).
+//    owns a private Simulator, so runs never share mutable state).
 //
 // The two compose deterministically: the sweep executes in wavefronts
 // (epochs) derived from the static dominance relation. Within a wavefront
@@ -60,7 +59,7 @@ struct RunRecord {
   std::string error;
   /// Provenance of the sweep this run belongs to (seed, config hash, git
   /// commit, toolchain, host, wall time) — one manifest shared by every
-  /// record of a Sweep call. Persisted by WindTunnel as a
+  /// record of a Sweep call. Persisted by StoreRunRecordTable as a
   /// "<table>__manifest" side table (wt/obs/manifest.h).
   std::shared_ptr<const obs::RunManifest> manifest;
 };
@@ -128,13 +127,6 @@ class RunOrchestrator {
 
   /// Statistics of the most recent Sweep.
   const SweepStats& last_stats() const { return stats_; }
-
-  /// Sets the scenario provenance hash recorded by subsequent Sweep calls
-  /// (see SweepOptions::scenario_hash). Pass "" to clear. Provenance-only:
-  /// never changes sweep output bytes.
-  void set_scenario_hash(std::string hash) {
-    options_.scenario_hash = std::move(hash);
-  }
 
  private:
   SweepOptions options_;

@@ -5,9 +5,9 @@
 // the simulated resources it reads and writes; the InteractionGraph derives
 // which models are independent ("the failure model of the hard disk is
 // independent of the failure model of the network switch") and which must
-// be co-scheduled. The orchestrator uses the connected components to check
-// scenario well-formedness and to justify run-level parallelism; a future
-// intra-run parallel engine would partition by the same components.
+// be co-scheduled. No sweep reads the graph yet: runs execute in parallel
+// because each owns a private Simulator. A future intra-run parallel engine
+// would partition by the connected components.
 
 #ifndef WT_CORE_SIM_MODEL_H_
 #define WT_CORE_SIM_MODEL_H_

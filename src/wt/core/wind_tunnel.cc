@@ -18,8 +18,10 @@ SweepOptions ToSweepOptions(const WindTunnelOptions& o) {
 }
 }  // namespace
 
-WindTunnel::WindTunnel(WindTunnelOptions options)
-    : options_(options), orchestrator_(ToSweepOptions(options)) {}
+WindTunnel::WindTunnel(WindTunnelOptions options) : options_(options) {
+  WT_CHECK(options.num_workers >= 1);
+  WT_CHECK(options.replications >= 1);
+}
 
 Status WindTunnel::RegisterSimulation(const std::string& name, RunFn fn) {
   if (simulations_.count(name) > 0) {
@@ -64,10 +66,13 @@ Result<std::vector<RunRecord>> WindTunnel::RunSweepWith(
     const std::vector<SlaConstraint>& constraints,
     const std::vector<MonotoneHint>& hints,
     const std::string& scenario_hash) {
-  orchestrator_.set_scenario_hash(scenario_hash);
+  SweepOptions sweep_options = ToSweepOptions(options_);
+  sweep_options.scenario_hash = scenario_hash;
+  RunOrchestrator orchestrator(sweep_options);
   WT_ASSIGN_OR_RETURN(std::vector<RunRecord> records,
-                      orchestrator_.Sweep(space, fn, constraints, hints));
-  WT_RETURN_IF_ERROR(StoreRecords(sweep_name, space, records));
+                      orchestrator.Sweep(space, fn, constraints, hints));
+  last_stats_ = orchestrator.last_stats();
+  WT_RETURN_IF_ERROR(StoreRunRecordTable(&store_, sweep_name, space, records));
   return records;
 }
 
@@ -129,19 +134,19 @@ Result<Table> BuildRunRecordTable(const DesignSpace& space,
   return table;
 }
 
-Status WindTunnel::StoreRecords(const std::string& table_name,
-                                const DesignSpace& space,
-                                const std::vector<RunRecord>& records) {
+Status StoreRunRecordTable(ResultStore* store, const std::string& table_name,
+                           const DesignSpace& space,
+                           const std::vector<RunRecord>& records) {
   // Build privately, publish atomically: concurrent store readers (the
   // serve layer) never observe a partially-filled sweep table.
   WT_ASSIGN_OR_RETURN(Table table, BuildRunRecordTable(space, records));
-  WT_RETURN_IF_ERROR(store_.PublishTable(table_name, std::move(table)));
+  WT_RETURN_IF_ERROR(store->PublishTable(table_name, std::move(table)));
 
   // Provenance side table: every record of one sweep shares one manifest,
   // so persisting the first one captures the sweep's provenance. Survives
   // SaveResultStore/LoadResultStore like any other table.
   if (!records.empty() && records.front().manifest != nullptr) {
-    WT_RETURN_IF_ERROR(obs::StoreManifest(&store_,
+    WT_RETURN_IF_ERROR(obs::StoreManifest(store,
                                           obs::ManifestTableName(table_name),
                                           *records.front().manifest));
   }

@@ -1,7 +1,8 @@
 // WindTunnel: the top-level facade of the library.
 //
 // Owns the model-interaction declarations (§4.1), the registry of named
-// simulations, the run orchestrator (§4.2), and the result store (§4.4).
+// simulations and the result store (§4.4), and runs each sweep on a fresh
+// RunOrchestrator (§4.2).
 // A what-if study is: register/choose a simulation, define a design space,
 // attach SLA constraints and monotone hints, run the sweep, and explore the
 // result table.
@@ -31,13 +32,21 @@ struct WindTunnelOptions {
 /// Builds the result table of a sweep — columns run_id, the space's
 /// dimensions (typed from their candidates), the union of metric names
 /// (double; name-collisions with dimensions get a "measured_" prefix),
-/// sla_ok, and status; one row per record. Shared by WindTunnel's
-/// StoreRecords and the wt::serve cold path, so a served sweep's table is
-/// byte-identical to the one a direct query stores.
+/// sla_ok, and status; one row per record.
 [[nodiscard]] Result<Table> BuildRunRecordTable(
     const DesignSpace& space, const std::vector<RunRecord>& records);
 
-/// The wind tunnel: simulation registry + orchestrator + result store.
+/// Builds the sweep's table, publishes it to `store` as `table_name`, and
+/// stores the sweep's RunManifest as the "<table_name>__manifest" side
+/// table. Shared by WindTunnel sweeps and the wt::serve cold path, so a
+/// served sweep's tables are byte-identical to the ones a direct query
+/// stores.
+[[nodiscard]] Status StoreRunRecordTable(ResultStore* store,
+                                         const std::string& table_name,
+                                         const DesignSpace& space,
+                                         const std::vector<RunRecord>& records);
+
+/// The wind tunnel: simulation registry + sweeps + result store.
 class WindTunnel {
  public:
   explicit WindTunnel(WindTunnelOptions options = {});
@@ -77,19 +86,13 @@ class WindTunnel {
   const ResultStore& store() const { return store_; }
 
   /// Stats of the most recent sweep.
-  const SweepStats& last_sweep_stats() const {
-    return orchestrator_.last_stats();
-  }
+  const SweepStats& last_sweep_stats() const { return last_stats_; }
 
  private:
-  // Builds the result table (dims + metrics + status) from sweep records.
-  [[nodiscard]] Status StoreRecords(const std::string& table_name, const DesignSpace& space,
-                      const std::vector<RunRecord>& records);
-
   WindTunnelOptions options_;
   InteractionGraph interactions_;
   std::map<std::string, RunFn> simulations_;
-  RunOrchestrator orchestrator_;
+  SweepStats last_stats_;
   ResultStore store_;
 };
 

@@ -76,6 +76,24 @@ int DetectHardwareThreads() {
   return n > 0 ? n : 0;  // 0 = genuinely unknown
 }
 
+// Commit id for provenance: $WT_BENCH_COMMIT if set, else `git rev-parse
+// --short HEAD`, else "unknown".
+std::string GitCommitOrUnknown() {
+  std::string out;
+  if (const char* env = std::getenv("WT_BENCH_COMMIT")) {
+    out = env;
+  } else if (FILE* p = popen("git rev-parse --short HEAD 2>/dev/null", "r")) {
+    char buf[64];
+    if (fgets(buf, sizeof(buf), p) != nullptr) out = buf;
+    pclose(p);
+  }
+  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) {
+    out.pop_back();
+  }
+  if (out.empty()) out = "unknown";
+  return out;
+}
+
 // Host + toolchain facts never change within a process; collect them once.
 const RunManifest& HostFacts() {
   static const RunManifest* facts = [] {
@@ -94,26 +112,6 @@ const RunManifest& HostFacts() {
 }  // namespace
 
 int DetectedHardwareThreads() { return HostFacts().hardware_threads; }
-
-const std::string& GitCommitOrUnknown() {
-  static const std::string* commit = [] {
-    std::string out;
-    if (const char* env = std::getenv("WT_BENCH_COMMIT")) {
-      out = env;
-    } else if (FILE* p = popen("git rev-parse --short HEAD 2>/dev/null",
-                               "r")) {
-      char buf[64];
-      if (fgets(buf, sizeof(buf), p) != nullptr) out = buf;
-      pclose(p);
-    }
-    while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) {
-      out.pop_back();
-    }
-    if (out.empty()) out = "unknown";
-    return new std::string(std::move(out));
-  }();
-  return *commit;
-}
 
 RunManifest CollectRunManifest(uint64_t seed, std::string config_hash) {
   RunManifest m = HostFacts();

@@ -44,10 +44,6 @@ struct RunManifest {
   double wall_seconds = 0.0;
 };
 
-/// Commit id for provenance: $WT_BENCH_COMMIT if set, else `git rev-parse
-/// --short HEAD`, else "unknown". Cached after the first call.
-const std::string& GitCommitOrUnknown();
-
 /// Hardware threads of this host: the larger positive answer of
 /// std::thread::hardware_concurrency() and sysconf(_SC_NPROCESSORS_ONLN),
 /// or 0 when both are unavailable. Cached in the manifest host facts; also

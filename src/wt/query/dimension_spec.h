@@ -5,8 +5,8 @@
 // comment said nodes(10) was common to all sims while the performance and
 // provisioning engines actually default to 4). This table is now the ONE
 // authority: the RunFns in builtin_sims.cc read their defaults from it
-// (DimensionReader), wtq's \dims renders it, the scenario registry
-// validates "with"/"explore" keys against it, and
+// (DimensionReader), wtq's \dims renders it, the scenario loader
+// validates builder, "with" and "explore" keys against it, and
 // builtin_sims_dimension_test asserts every declared default matches
 // observed engine behavior when the dimension is omitted.
 //

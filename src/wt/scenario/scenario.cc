@@ -8,8 +8,10 @@
 #include <sstream>
 #include <utility>
 
+#include "wt/common/json.h"
 #include "wt/common/macros.h"
 #include "wt/common/string_util.h"
+#include "wt/query/dimension_spec.h"
 #include "wt/sim/random.h"
 
 namespace wt {
@@ -17,8 +19,8 @@ namespace scenario {
 
 namespace {
 
-// The naming contract for builder, scenario and ablation names:
-// [a-z][a-z0-9_]*, with no trailing or doubled '_'.
+// The naming contract for scenario and ablation names: [a-z][a-z0-9_]*,
+// with no trailing or doubled '_'.
 bool IsSnakeCase(const std::string& s) {
   if (s.empty() || s.front() < 'a' || s.front() > 'z' || s.back() == '_') {
     return false;
@@ -30,6 +32,32 @@ bool IsSnakeCase(const std::string& s) {
   }
   return s.find("__") == std::string::npos;
 }
+
+// The built-in builders of the four model families. Each fixes its
+// section's keys as dimensions of its own family, so a topology builder
+// cannot quietly configure the failure model. A required key makes
+// choosing the builder meaningful (failure_model/weibull_afr without an AFR
+// is a mistake worth rejecting loudly); failure_model/none takes no keys
+// and says the scenario relies on the engine's defaults.
+struct FamilyBuilder {
+  DimFamily family;
+  const char* name;
+  const char* required;  // "" when no key is required
+  bool takes_keys;
+};
+
+constexpr FamilyBuilder kFamilyBuilders[] = {
+    {DimFamily::kTopology, "flat_cluster", "", true},
+    {DimFamily::kFailureModel, "weibull_afr", "node_afr", true},
+    {DimFamily::kFailureModel, "fixed_count", "failures", true},
+    {DimFamily::kFailureModel, "node_outage", "outage_at_s", true},
+    {DimFamily::kFailureModel, "degraded_nic", "limp_nic_node", true},
+    {DimFamily::kFailureModel, "none", "", false},
+    {DimFamily::kPlacement, "replicated", "", true},
+    {DimFamily::kWorkloadMix, "object_store", "", true},
+    {DimFamily::kWorkloadMix, "open_loop", "rate", true},
+    {DimFamily::kWorkloadMix, "cache_working_set", "working_set_gb", true},
+};
 
 // Converts a JSON scalar to a Value compatible with the dimension's
 // declared type. Mirrors the DSL's literal typing exactly: an exact-int
@@ -59,21 +87,76 @@ Result<Value> CoerceScalar(const json::JsonValue& v, ValueType want,
   }
 }
 
-// Looks `name` up in the draft's dimension table with a uniform error.
-Result<const DimensionSpec*> FindDim(const ScenarioDraft& draft,
+// Looks `name` up in the simulation's dimension table with a uniform error.
+Result<const DimensionSpec*> FindDim(const SimulationDims& dims,
                                      const std::string& origin,
                                      const std::string& name) {
-  if (draft.dims == nullptr) {
-    return Status::FailedPrecondition(origin +
-                                      ": draft has no simulation bound");
-  }
-  const DimensionSpec* spec = draft.dims->Find(name);
+  const DimensionSpec* spec = dims.Find(name);
   if (spec == nullptr) {
     return Status::InvalidArgument(origin + ": simulation '" +
-                                   draft.simulation + "' has no dimension '" +
+                                   dims.simulation + "' has no dimension '" +
                                    name + "' (see \\dims)");
   }
   return spec;
+}
+
+// The swept dimension named `name`, or dimensions.end().
+std::vector<Dimension>::iterator Swept(QuerySpec* q, const std::string& name) {
+  return std::find_if(q->dimensions.begin(), q->dimensions.end(),
+                      [&](const Dimension& d) { return d.name == name; });
+}
+
+// Validates `value` (declared dimension, compatible type) and fixes the
+// dimension, un-exploring it: a pinned value wins over a sweep. `origin`
+// names the builder or clause for errors.
+Status Fix(const SimulationDims& dims, const std::string& origin,
+           const std::string& name, const json::JsonValue& value,
+           QuerySpec* q) {
+  WT_ASSIGN_OR_RETURN(const DimensionSpec* spec, FindDim(dims, origin, name));
+  WT_ASSIGN_OR_RETURN(
+      Value v,
+      CoerceScalar(value, spec->type, origin + ": dimension '" + name + "'"));
+  if (auto it = Swept(q, name); it != q->dimensions.end()) {
+    q->dimensions.erase(it);
+  }
+  q->params[name] = std::move(v);
+  return Status::OK();
+}
+
+// Explores `dim`: replaces a same-named swept dimension in place or
+// appends it, and removes any fixed value — exploring wins over fixing.
+void Explore(Dimension dim, QuerySpec* q) {
+  q->params.erase(dim.name);
+  if (auto it = Swept(q, dim.name); it != q->dimensions.end()) {
+    *it = std::move(dim);
+  } else {
+    q->dimensions.push_back(std::move(dim));
+  }
+}
+
+// Explores every {dim: [candidates]} member of `explore`, each candidate
+// coerced to the dimension's declared type.
+Status ExploreEach(const SimulationDims& dims, const std::string& origin,
+                   const json::JsonValue& explore, QuerySpec* q) {
+  for (const std::string& name : explore.ObjectKeys()) {
+    WT_ASSIGN_OR_RETURN(const DimensionSpec* spec,
+                        FindDim(dims, origin, name));
+    const json::JsonValue& candidates = *explore.Find(name);
+    if (!candidates.is_array() || candidates.size() == 0) {
+      return Status::InvalidArgument(origin + ": '" + name +
+                                     "' needs a non-empty candidate array");
+    }
+    Dimension dim;
+    dim.name = name;
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      WT_ASSIGN_OR_RETURN(Value v,
+                          CoerceScalar(candidates.At(i), spec->type,
+                                       origin + ": '" + name + "'"));
+      dim.candidates.push_back(std::move(v));
+    }
+    Explore(std::move(dim), q);
+  }
+  return Status::OK();
 }
 
 Status CheckKeys(const json::JsonValue& obj,
@@ -106,43 +189,54 @@ Result<int64_t> MemberInt(const json::JsonValue& member,
   return member.AsInt();
 }
 
-// Runs the family section's named builder over the section's remaining
-// keys. The registry lookup, not this function, decides what exists.
-Status ApplyFamilySection(const json::JsonValue& section,
-                          const std::string& family, ScenarioDraft* draft) {
+// Runs the family section's named builder over the section's other keys.
+Status ApplyFamilySection(const json::JsonValue& section, DimFamily family,
+                          const SimulationDims& dims, QuerySpec* q) {
+  const std::string family_name = DimFamilyToString(family);
   if (!section.is_object()) {
-    return Status::InvalidArgument("'" + family + "' must be an object");
+    return Status::InvalidArgument("'" + family_name + "' must be an object");
   }
   const json::JsonValue* builder = section.Find("builder");
   if (builder == nullptr || !builder->is_string()) {
-    return Status::InvalidArgument("'" + family +
+    return Status::InvalidArgument("'" + family_name +
                                    "' needs a string \"builder\" key");
   }
-  WT_ASSIGN_OR_RETURN(
-      BuilderFn fn,
-      ScenarioRegistry::Global()->Find(family, builder->AsString()));
-  json::JsonValue config = json::JsonValue::Object();
-  for (const std::string& k : section.ObjectKeys()) {
-    if (k == "builder") continue;
-    config.Insert(k, *section.Find(k));
+  const FamilyBuilder* chosen = nullptr;
+  std::vector<std::string> known;
+  for (const FamilyBuilder& b : kFamilyBuilders) {
+    if (b.family != family) continue;
+    known.push_back(b.name);
+    if (builder->AsString() == b.name) chosen = &b;
   }
-  return fn(config, draft);
-}
-
-Status ApplyExplore(const json::JsonValue& explore, ScenarioDraft* draft) {
-  if (!explore.is_object()) {
-    return Status::InvalidArgument(
-        "'explore' must be an object of dimension -> candidate array");
+  if (chosen == nullptr) {
+    std::sort(known.begin(), known.end());
+    return Status::NotFound("no builder '" + builder->AsString() +
+                            "' in family '" + family_name +
+                            "'; known: " + StrJoin(known, ", "));
   }
-  for (const std::string& name : explore.ObjectKeys()) {
-    WT_RETURN_IF_ERROR(
-        draft->ExploreParam("explore", name, *explore.Find(name)));
+  const std::string origin = family_name + "/" + chosen->name;
+  if (chosen->required[0] != '\0' && !section.Has(chosen->required)) {
+    return Status::InvalidArgument(origin + ": missing required key '" +
+                                   chosen->required + "'");
+  }
+  if (!chosen->takes_keys && section.size() > 1) {
+    return Status::InvalidArgument(origin + " takes no config");
+  }
+  for (const std::string& key : section.ObjectKeys()) {
+    if (key == "builder") continue;
+    WT_ASSIGN_OR_RETURN(const DimensionSpec* spec, FindDim(dims, origin, key));
+    if (spec->family != family) {
+      return Status::InvalidArgument(
+          origin + ": dimension '" + key + "' belongs to family '" +
+          DimFamilyToString(spec->family) + "', not '" + family_name + "'");
+    }
+    WT_RETURN_IF_ERROR(Fix(dims, origin, key, *section.Find(key), q));
   }
   return Status::OK();
 }
 
 Status ApplyAssuming(const json::JsonValue& assuming,
-                     const ScenarioDraft& draft,
+                     const SimulationDims& dims,
                      std::vector<MonotoneHint>* hints) {
   if (!assuming.is_array()) {
     return Status::InvalidArgument(
@@ -166,7 +260,7 @@ Status ApplyAssuming(const json::JsonValue& assuming,
                                      "' must name a dimension");
     }
     WT_ASSIGN_OR_RETURN(const DimensionSpec* spec,
-                        FindDim(draft, "assuming", dim.AsString()));
+                        FindDim(dims, "assuming", dim.AsString()));
     (void)spec;
     hints->push_back(MonotoneHint{
         dim.AsString(), key == "higher" ? MonotoneDirection::kHigherIsBetter
@@ -211,11 +305,75 @@ Status ApplyWhere(const json::JsonValue& where,
   return Status::OK();
 }
 
+// Applies one ablation entry of kind `builder`. Each kind takes exactly
+// one key besides "builder":
+//   set_params        {"set": {dim: value, ...}} fixes dimensions,
+//                     un-exploring any that were swept;
+//   drop_dimensions   {"drop": [dim, ...]} removes swept dimensions (the
+//                     runs fall back to engine defaults); dropping one that
+//                     is not swept means the ablation no longer matches the
+//                     scenario it was written against;
+//   override_explore  {"explore": {dim: [...], ...}} replaces or adds
+//                     swept candidate lists.
+Status ApplyAblation(const json::JsonValue& entry, const std::string& builder,
+                     const SimulationDims& dims, QuerySpec* q) {
+  const bool one_key = entry.size() == (entry.Has("builder") ? 2u : 1u);
+  if (builder == "set_params") {
+    const json::JsonValue* set = entry.Find("set");
+    if (!one_key || set == nullptr || !set->is_object() || set->size() == 0) {
+      return Status::InvalidArgument(
+          "ablation/set_params wants exactly {\"set\": {dim: value, ...}}");
+    }
+    for (const std::string& key : set->ObjectKeys()) {
+      WT_RETURN_IF_ERROR(
+          Fix(dims, "ablation/set_params", key, *set->Find(key), q));
+    }
+    return Status::OK();
+  }
+  if (builder == "drop_dimensions") {
+    const json::JsonValue* drop = entry.Find("drop");
+    if (!one_key || drop == nullptr || !drop->is_array() ||
+        drop->size() == 0) {
+      return Status::InvalidArgument(
+          "ablation/drop_dimensions wants exactly {\"drop\": [dim, ...]}");
+    }
+    for (size_t i = 0; i < drop->size(); ++i) {
+      if (!drop->At(i).is_string()) {
+        return Status::InvalidArgument(
+            "ablation/drop_dimensions: 'drop' entries must be dimension "
+            "names");
+      }
+      const std::string& name = drop->At(i).AsString();
+      auto it = Swept(q, name);
+      if (it == q->dimensions.end()) {
+        return Status::InvalidArgument(
+            "ablation/drop_dimensions: '" + name +
+            "' is not an explored dimension of this scenario");
+      }
+      q->dimensions.erase(it);
+    }
+    return Status::OK();
+  }
+  if (builder == "override_explore") {
+    const json::JsonValue* explore = entry.Find("explore");
+    if (!one_key || explore == nullptr || !explore->is_object() ||
+        explore->size() == 0) {
+      return Status::InvalidArgument(
+          "ablation/override_explore wants exactly {\"explore\": {dim: "
+          "[...]}}");
+    }
+    return ExploreEach(dims, "ablation/override_explore", *explore, q);
+  }
+  return Status::NotFound("no builder '" + builder +
+                          "' in family 'ablation'; known: drop_dimensions, "
+                          "override_explore, set_params");
+}
+
 // Validates every declared ablation (names, shapes) and applies the
-// requested ones through the registry's ablation family.
+// requested ones, in request order.
 Status ApplyAblations(const json::JsonValue* ablations,
                       const std::vector<std::string>& requested,
-                      ScenarioDraft* draft,
+                      const SimulationDims& dims, QuerySpec* q,
                       std::vector<std::string>* available) {
   if (ablations != nullptr) {
     if (!ablations->is_object()) {
@@ -247,14 +405,7 @@ Status ApplyAblations(const json::JsonValue* ablations,
       WT_ASSIGN_OR_RETURN(builder,
                           MemberString(*b, "ablation '" + name + "' builder"));
     }
-    WT_ASSIGN_OR_RETURN(BuilderFn fn,
-                        ScenarioRegistry::Global()->Find("ablation", builder));
-    json::JsonValue config = json::JsonValue::Object();
-    for (const std::string& k : entry.ObjectKeys()) {
-      if (k == "builder") continue;
-      config.Insert(k, *entry.Find(k));
-    }
-    WT_RETURN_IF_ERROR(fn(config, draft));
+    WT_RETURN_IF_ERROR(ApplyAblation(entry, builder, dims, q));
   }
   return Status::OK();
 }
@@ -295,17 +446,17 @@ Result<ScenarioSpec> LoadFromRoot(const json::JsonValue& root,
                             "'; known: " + StrJoin(known, ", "));
   }
 
-  ScenarioDraft draft;
-  draft.simulation = sim->AsString();
-  draft.dims = dims;
+  ScenarioSpec spec;
+  QuerySpec& q = spec.query;
+  q.simulation = sim->AsString();
 
   // Family sections in canonical order (file key order is irrelevant —
   // families touch disjoint dimensions by construction).
-  for (const std::string& family : ScenarioRegistry::Families()) {
-    if (family == "ablation") continue;
-    if (const json::JsonValue* section = root.Find(family);
+  for (DimFamily family : {DimFamily::kTopology, DimFamily::kFailureModel,
+                           DimFamily::kPlacement, DimFamily::kWorkloadMix}) {
+    if (const json::JsonValue* section = root.Find(DimFamilyToString(family));
         section != nullptr) {
-      WT_RETURN_IF_ERROR(ApplyFamilySection(*section, family, &draft));
+      WT_RETURN_IF_ERROR(ApplyFamilySection(*section, family, *dims, &q));
     }
   }
 
@@ -314,15 +465,18 @@ Result<ScenarioSpec> LoadFromRoot(const json::JsonValue& root,
       return Status::InvalidArgument("'with' must be an object");
     }
     for (const std::string& k : with->ObjectKeys()) {
-      WT_RETURN_IF_ERROR(draft.SetParam("with", k, *with->Find(k)));
+      WT_RETURN_IF_ERROR(Fix(*dims, "with", k, *with->Find(k), &q));
     }
   }
   if (const json::JsonValue* explore = root.Find("explore");
       explore != nullptr) {
-    WT_RETURN_IF_ERROR(ApplyExplore(*explore, &draft));
+    if (!explore->is_object()) {
+      return Status::InvalidArgument(
+          "'explore' must be an object of dimension -> candidate array");
+    }
+    WT_RETURN_IF_ERROR(ExploreEach(*dims, "explore", *explore, &q));
   }
 
-  ScenarioSpec spec;
   spec.name = name->AsString();
   if (const json::JsonValue* desc = root.Find("description");
       desc != nullptr) {
@@ -330,15 +484,15 @@ Result<ScenarioSpec> LoadFromRoot(const json::JsonValue& root,
   }
   if (const json::JsonValue* assuming = root.Find("assuming");
       assuming != nullptr) {
-    WT_RETURN_IF_ERROR(ApplyAssuming(*assuming, draft, &spec.query.hints));
+    WT_RETURN_IF_ERROR(ApplyAssuming(*assuming, *dims, &q.hints));
   }
   if (const json::JsonValue* where = root.Find("where"); where != nullptr) {
-    WT_RETURN_IF_ERROR(ApplyWhere(*where, &spec.query.constraints));
+    WT_RETURN_IF_ERROR(ApplyWhere(*where, &q.constraints));
   }
   if (const json::JsonValue* order = root.Find("order_by");
       order != nullptr) {
-    WT_ASSIGN_OR_RETURN(spec.query.order_by, MemberString(*order, "order_by"));
-    if (spec.query.order_by.empty()) {
+    WT_ASSIGN_OR_RETURN(q.order_by, MemberString(*order, "order_by"));
+    if (q.order_by.empty()) {
       return Status::InvalidArgument("'order_by' must not be empty");
     }
   }
@@ -349,10 +503,10 @@ Result<ScenarioSpec> LoadFromRoot(const json::JsonValue& root,
     if (root.Find("order_by") == nullptr) {
       return Status::InvalidArgument("'ascending' requires 'order_by'");
     }
-    spec.query.order_ascending = asc->AsBool();
+    q.order_ascending = asc->AsBool();
   }
   if (const json::JsonValue* limit = root.Find("limit"); limit != nullptr) {
-    WT_ASSIGN_OR_RETURN(spec.query.limit, MemberInt(*limit, "limit", 0));
+    WT_ASSIGN_OR_RETURN(q.limit, MemberInt(*limit, "limit", 0));
   }
   if (const json::JsonValue* seed = root.Find("seed"); seed != nullptr) {
     WT_ASSIGN_OR_RETURN(int64_t s, MemberInt(*seed, "seed", 0));
@@ -365,134 +519,16 @@ Result<ScenarioSpec> LoadFromRoot(const json::JsonValue& root,
     spec.replications = static_cast<int>(r);
   }
 
-  // Ablations last: they transform the fully composed draft.
-  WT_RETURN_IF_ERROR(ApplyAblations(root.Find("ablations"), ablations, &draft,
-                                    &spec.available_ablations));
+  // Ablations last: they transform the fully composed query.
+  WT_RETURN_IF_ERROR(ApplyAblations(root.Find("ablations"), ablations, *dims,
+                                    &q, &spec.available_ablations));
 
-  spec.query.simulation = draft.simulation;
-  spec.query.dimensions = std::move(draft.explore);
-  spec.query.params = std::move(draft.params);
-  spec.query.scenario_name = spec.name;
-  spec.query.ablations = ablations;
+  q.scenario_name = spec.name;
+  q.ablations = ablations;
   return spec;
 }
 
 }  // namespace
-
-Status ScenarioDraft::SetParam(const std::string& origin,
-                               const std::string& name,
-                               const json::JsonValue& value) {
-  WT_ASSIGN_OR_RETURN(const DimensionSpec* spec, FindDim(*this, origin, name));
-  WT_ASSIGN_OR_RETURN(
-      Value v,
-      CoerceScalar(value, spec->type, origin + ": dimension '" + name + "'"));
-  params[name] = std::move(v);
-  return Status::OK();
-}
-
-Status ScenarioDraft::SetFamilyParam(const std::string& origin,
-                                     DimFamily family, const std::string& name,
-                                     const json::JsonValue& value) {
-  WT_ASSIGN_OR_RETURN(const DimensionSpec* spec, FindDim(*this, origin, name));
-  if (spec->family != family) {
-    return Status::InvalidArgument(
-        origin + ": dimension '" + name + "' belongs to family '" +
-        DimFamilyToString(spec->family) + "', not '" +
-        DimFamilyToString(family) + "'");
-  }
-  return SetParam(origin, name, value);
-}
-
-Status ScenarioDraft::ExploreParam(const std::string& origin,
-                                   const std::string& name,
-                                   const json::JsonValue& candidates) {
-  WT_ASSIGN_OR_RETURN(const DimensionSpec* spec, FindDim(*this, origin, name));
-  if (!candidates.is_array() || candidates.size() == 0) {
-    return Status::InvalidArgument(origin + ": '" + name +
-                                   "' needs a non-empty candidate array");
-  }
-  Dimension dim;
-  dim.name = name;
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    WT_ASSIGN_OR_RETURN(Value v,
-                        CoerceScalar(candidates.At(i), spec->type,
-                                     origin + ": '" + name + "'"));
-    dim.candidates.push_back(std::move(v));
-  }
-  params.erase(name);
-  for (Dimension& existing : explore) {
-    if (existing.name == name) {
-      existing = std::move(dim);
-      return Status::OK();
-    }
-  }
-  explore.push_back(std::move(dim));
-  return Status::OK();
-}
-
-const std::vector<std::string>& ScenarioRegistry::Families() {
-  static const std::vector<std::string> kFamilies = {
-      "topology", "failure_model", "placement", "workload_mix", "ablation"};
-  return kFamilies;
-}
-
-ScenarioRegistry* ScenarioRegistry::Global() {
-  static ScenarioRegistry* instance = [] {
-    auto* r = new ScenarioRegistry();
-    const Status s = RegisterBuiltinBuilders(r);
-    WT_CHECK(s.ok()) << "built-in scenario builders failed to register: "
-                     << s.message();
-    return r;
-  }();
-  return instance;
-}
-
-Status ScenarioRegistry::Register(const std::string& family,
-                                  const std::string& name, BuilderFn fn) {
-  const std::vector<std::string>& families = Families();
-  if (std::find(families.begin(), families.end(), family) == families.end()) {
-    return Status::InvalidArgument("unknown builder family: '" + family +
-                                   "' (want " + StrJoin(families, ", ") + ")");
-  }
-  if (!IsSnakeCase(name)) {
-    return Status::InvalidArgument("builder name must be snake_case: '" +
-                                   name + "'");
-  }
-  if (!fn) {
-    return Status::InvalidArgument("null builder: '" + family + "/" + name +
-                                   "'");
-  }
-  auto& members = builders_[family];
-  if (members.count(name) > 0) {
-    return Status::AlreadyExists("builder exists: '" + family + "/" + name +
-                                 "'");
-  }
-  members.emplace(name, std::move(fn));
-  return Status::OK();
-}
-
-Result<BuilderFn> ScenarioRegistry::Find(const std::string& family,
-                                         const std::string& name) const {
-  auto fit = builders_.find(family);
-  if (fit == builders_.end() || fit->second.count(name) == 0) {
-    std::string known;
-    if (fit != builders_.end() && !fit->second.empty()) {
-      known = "; known: " + StrJoin(Names(family), ", ");
-    }
-    return Status::NotFound("no builder '" + name + "' in family '" + family +
-                            "'" + known);
-  }
-  return fit->second.at(name);
-}
-
-std::vector<std::string> ScenarioRegistry::Names(
-    const std::string& family) const {
-  std::vector<std::string> names;
-  if (auto fit = builders_.find(family); fit != builders_.end()) {
-    for (const auto& [name, fn] : fit->second) names.push_back(name);
-  }
-  return names;  // map order: already sorted
-}
 
 Result<ScenarioSpec> LoadScenarioText(
     const std::string& text, const std::string& source_name,
@@ -573,18 +609,7 @@ Result<QuerySpec> ResolveQuery(const QuerySpec& parsed) {
   QuerySpec out = std::move(scen.query);
   // Query-level clauses win over the scenario's (per-name for EXPLORE
   // dimensions and ASSUMING hints; WHERE constraints accumulate).
-  for (const Dimension& d : parsed.dimensions) {
-    out.params.erase(d.name);
-    bool replaced = false;
-    for (Dimension& existing : out.dimensions) {
-      if (existing.name == d.name) {
-        existing = d;
-        replaced = true;
-        break;
-      }
-    }
-    if (!replaced) out.dimensions.push_back(d);
-  }
+  for (const Dimension& d : parsed.dimensions) Explore(d, &out);
   for (const MonotoneHint& h : parsed.hints) {
     bool replaced = false;
     for (MonotoneHint& existing : out.hints) {

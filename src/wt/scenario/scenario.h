@@ -5,9 +5,9 @@
 // layer, every such composition in the repo was a hand-written C++
 // binary. A scenario FILE is the declarative replacement: a strict JSON
 // document (parsed by wt/common/json.h, the tree's one JSON reader) that
-// names builders from the ScenarioRegistry and is compiled into the same
-// QuerySpec the DSL produces — so benches, examples, wtq, and wt::serve
-// all run scenario files through the one executor path.
+// names built-in builders and is compiled into the same QuerySpec the DSL
+// produces — so benches, examples, wtq, and wt::serve all run scenario
+// files through the one executor path.
 //
 // File schema (all keys validated; unknown keys are errors):
 //
@@ -33,16 +33,16 @@
 //     }
 //   }
 //
-// Builders. Each of the four model families holds named builders
-// (registered in builders.cc; names are unique snake_case per family —
-// enforced here at registration). A family object's "builder" key picks one;
-// the remaining keys are its config. Built-in builders emit fixed
-// dimensions, each validated against the simulation's DimensionSpec
-// table (name declared, type compatible, family matches the builder's).
-// The fifth family, "ablation", holds builders that transform an
-// already-composed draft; entries under "ablations" are named instances
-// ("builder" defaults to set_params), applied only when a caller asks
-// for them by name — SNIPPETS.md's "flags applied to a copied config".
+// Builders. Each of the four model families has a fixed set of named
+// builders (the table in scenario.cc). A family object's "builder" key
+// picks one; the remaining keys fix dimensions, each validated against
+// the simulation's DimensionSpec table (name declared, type compatible,
+// family matches the builder's), and some builders require a key
+// (failure_model/weibull_afr needs node_afr). Entries under "ablations"
+// are named transforms of the composed query — set_params (the default
+// "builder"), drop_dimensions, override_explore — applied only when a
+// caller asks for them by name: SNIPPETS.md's "flags applied to a copied
+// config".
 //
 // Precedence, lowest to highest: family builders → "with" → "explore"
 // (exploring a dimension removes any fixed value for it) → applied
@@ -60,89 +60,14 @@
 #define WT_SCENARIO_SCENARIO_H_
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
-#include "wt/common/json.h"
 #include "wt/common/result.h"
-#include "wt/common/status.h"
-#include "wt/query/dimension_spec.h"
 #include "wt/query/parser.h"
 
 namespace wt {
 namespace scenario {
-
-/// A scenario being composed: builders and clauses write here before the
-/// draft is frozen into a QuerySpec.
-struct ScenarioDraft {
-  std::string simulation;
-  /// DimensionSpec table entry for `simulation` (never null once the
-  /// loader calls a builder).
-  const SimulationDims* dims = nullptr;
-  /// Fixed dimension values (the WITH clause of the compiled query).
-  std::map<std::string, Value> params;
-  /// Swept dimensions, in file order.
-  std::vector<Dimension> explore;
-
-  /// Validates (declared dimension, compatible type) and sets a fixed
-  /// dimension value. `origin` names the builder/clause for errors.
-  [[nodiscard]] Status SetParam(const std::string& origin,
-                                const std::string& name,
-                                const json::JsonValue& value);
-  /// As above, restricted to dimensions of `family` — builders use this
-  /// so a topology builder cannot quietly configure the failure model.
-  [[nodiscard]] Status SetFamilyParam(const std::string& origin,
-                                      DimFamily family,
-                                      const std::string& name,
-                                      const json::JsonValue& value);
-  /// Validates `candidates` (a non-empty JSON array, coerced to the
-  /// dimension's declared type) and explores the dimension: replaces a
-  /// same-named swept dimension or appends, and removes any fixed value
-  /// — exploring wins over fixing. Shared by the "explore" clause and
-  /// the override_explore ablation builder.
-  [[nodiscard]] Status ExploreParam(const std::string& origin,
-                                    const std::string& name,
-                                    const json::JsonValue& candidates);
-};
-
-/// A family builder: applies one JSON config object to the draft.
-using BuilderFn =
-    std::function<Status(const json::JsonValue& config, ScenarioDraft* draft)>;
-
-/// Registry of named builders per family. Families are fixed
-/// ("topology", "failure_model", "placement", "workload_mix",
-/// "ablation"); builder names must be unique snake_case ([a-z][a-z0-9_]*,
-/// no trailing or doubled '_') within their family. The global instance
-/// carries the built-ins from builders.cc; tests and embedders may
-/// register more (setup-phase only — the registry is not synchronized
-/// against concurrent mutation).
-class ScenarioRegistry {
- public:
-  /// The five family names, in canonical order.
-  static const std::vector<std::string>& Families();
-
-  /// The process-global registry, built-ins pre-registered.
-  static ScenarioRegistry* Global();
-
-  /// Empty registry (tests).
-  ScenarioRegistry() = default;
-
-  [[nodiscard]] Status Register(const std::string& family,
-                                const std::string& name, BuilderFn fn);
-  [[nodiscard]] Result<BuilderFn> Find(const std::string& family,
-                                       const std::string& name) const;
-  /// Registered builder names of `family`, sorted.
-  std::vector<std::string> Names(const std::string& family) const;
-
- private:
-  std::map<std::string, std::map<std::string, BuilderFn>> builders_;
-};
-
-/// Registers every built-in builder on `registry` (builders.cc). Global()
-/// calls this once; exposed for tests that build private registries.
-[[nodiscard]] Status RegisterBuiltinBuilders(ScenarioRegistry* registry);
 
 /// A loaded scenario, compiled to a ready-to-execute QuerySpec.
 struct ScenarioSpec {

@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "wt/common/string_util.h"
-#include "wt/obs/manifest.h"
 #include "wt/obs/metrics.h"
 #include "wt/obs/wallclock.h"
 #include "wt/query/parser.h"
@@ -88,8 +87,7 @@ Status Server::ColdSweep(const std::string& key,
   opts.enable_pruning = options_.enable_pruning;
   opts.replications = options_.replications;
   opts.scenario_hash = spec.scenario_hash;
-  // Private orchestrator: concurrent cold sweeps never share engine state
-  // (the tunnel's own orchestrator keeps per-sweep stats).
+  // Private orchestrator: concurrent cold sweeps never share engine state.
   RunOrchestrator orch(opts);
   WT_ASSIGN_OR_RETURN(std::vector<RunRecord> records,
                       orch.Sweep(space, fn, spec.constraints, spec.hints));
@@ -97,14 +95,8 @@ Status Server::ColdSweep(const std::string& key,
 
   const std::string table = "serve_" + key;
   if (!tunnel_->store().HasTable(table)) {
-    WT_ASSIGN_OR_RETURN(Table built, BuildRunRecordTable(space, records));
-    WT_RETURN_IF_ERROR(tunnel_->store().PublishTable(table,
-                                                     std::move(built)));
-    if (!records.empty() && records.front().manifest != nullptr) {
-      WT_RETURN_IF_ERROR(
-          obs::StoreManifest(&tunnel_->store(), obs::ManifestTableName(table),
-                             *records.front().manifest));
-    }
+    WT_RETURN_IF_ERROR(
+        StoreRunRecordTable(&tunnel_->store(), table, space, records));
   }
   cache_.Insert(key, CachedSweep{table, config_hash, orch.last_stats()});
   return Status::OK();

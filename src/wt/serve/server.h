@@ -5,7 +5,7 @@
 // new questions run exactly one sweep each (AdmissionQueue single-flight)
 // with bounded simulation concurrency. Answers are byte-identical to the
 // cold path because every stage after the sweep — table construction
-// (BuildRunRecordTable) and post-processing (PostprocessSweepTable) — is
+// (StoreRunRecordTable) and post-processing (PostprocessSweepTable) — is
 // the same code the direct executor runs, applied to the same immutable
 // stored table.
 //

@@ -1,9 +1,9 @@
-// Determinism contract of the scenario registry (DESIGN.md §9): compiling
+// Determinism contract of the scenario loader (DESIGN.md §9): compiling
 // a committed scenario file must produce a sweep whose RunRecords are
 // BYTE-IDENTICAL to the hand-built inline setup it replaced — at 1 worker,
 // at 8 workers, and under replications — and identical to what the DSL
 // front end produces for the same experiment. If any of these fingerprints
-// drift, a scenario file no longer means what its pre-registry C++ setup
+// drift, a scenario file no longer means what the C++ setup it replaced
 // meant, and every committed corpus result is silently invalidated.
 
 #include <gtest/gtest.h>
@@ -78,7 +78,7 @@ Result<scenario::ScenarioSpec> LoadCorpus(
   return scenario::LoadScenarioFile(path, ablations);
 }
 
-// The pre-registry inline setup of bench_e2_replication_tradeoff,
+// The inline setup bench_e2_replication_tradeoff had before scenario files,
 // expressed as the QuerySpec its hand-coded loops amounted to. This block
 // is deliberately NOT derived from the scenario machinery: it is the
 // ground truth the JSON file must reproduce.

@@ -1,5 +1,5 @@
-// Unit tests for wt::scenario — the registry, the strict loader, ablation
-// application, USING SCENARIO resolution, and corpus lookup.
+// Unit tests for wt::scenario — the built-in builders, the strict loader,
+// ablation application, USING SCENARIO resolution, and corpus lookup.
 
 #include <gtest/gtest.h>
 
@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -36,54 +37,131 @@ const Dimension* FindDim(const QuerySpec& q, const std::string& name) {
   return nullptr;
 }
 
-TEST(ScenarioRegistry, FamiliesAreFixed) {
-  const std::vector<std::string>& fams = ScenarioRegistry::Families();
-  ASSERT_EQ(fams.size(), 5u);
-  EXPECT_EQ(fams[0], "topology");
-  EXPECT_EQ(fams[4], "ablation");
+// A scenario over `simulation` whose only model family section is
+// `family`: `section` (JSON text).
+Result<ScenarioSpec> LoadSection(const std::string& simulation,
+                                 const std::string& family,
+                                 const std::string& section) {
+  return LoadScenarioText(R"({"scenario": "x", "simulation": ")" +
+                              simulation + R"(", ")" + family +
+                              R"(": )" + section + "}",
+                          "unit");
 }
 
-TEST(ScenarioRegistry, RejectsUnknownFamilyAndBadNames) {
-  ScenarioRegistry reg;
-  auto noop = [](const json::JsonValue&, ScenarioDraft*) {
-    return Status::OK();
+TEST(ScenarioBuilders, EveryBuiltinLoads) {
+  struct Case {
+    const char* simulation;
+    const char* family;
+    const char* section;
+    std::map<std::string, Value> params;
   };
-  EXPECT_FALSE(reg.Register("not_a_family", "x", noop).ok());
-  EXPECT_FALSE(reg.Register("topology", "CamelCase", noop).ok());
-  EXPECT_FALSE(reg.Register("topology", "has space", noop).ok());
-  EXPECT_FALSE(reg.Register("topology", "trailing_", noop).ok());
-  EXPECT_FALSE(reg.Register("topology", "doubled__name", noop).ok());
-  EXPECT_TRUE(reg.Register("topology", "ok_name", noop).ok());
-}
-
-TEST(ScenarioRegistry, DuplicateNameIsAlreadyExists) {
-  ScenarioRegistry reg;
-  auto noop = [](const json::JsonValue&, ScenarioDraft*) {
-    return Status::OK();
+  const std::vector<Case> cases = {
+      {"static_availability", "topology",
+       R"({"builder": "flat_cluster", "nodes": 12})", {{"nodes", Value(12)}}},
+      {"availability", "failure_model",
+       R"({"builder": "weibull_afr", "node_afr": 0.05, "ttf_shape": 2})",
+       {{"node_afr", Value(0.05)}, {"ttf_shape", Value(2)}}},
+      {"static_availability", "failure_model",
+       R"({"builder": "fixed_count", "failures": 2})",
+       {{"failures", Value(2)}}},
+      {"performance", "failure_model",
+       R"({"builder": "node_outage", "outage_at_s": 60.5})",
+       {{"outage_at_s", Value(60.5)}}},
+      {"performance", "failure_model",
+       R"({"builder": "degraded_nic", "limp_nic_node": 1})",
+       {{"limp_nic_node", Value(1)}}},
+      {"availability", "failure_model", R"({"builder": "none"})", {}},
+      {"static_availability", "placement",
+       R"({"builder": "replicated", "replication": 2, "placement": "copyset"})",
+       {{"replication", Value(2)}, {"placement", Value("copyset")}}},
+      {"static_availability", "workload_mix",
+       R"({"builder": "object_store", "users": 50})", {{"users", Value(50)}}},
+      {"performance", "workload_mix", R"({"builder": "open_loop", "rate": 100})",
+       {{"rate", Value(100)}}},
+      {"provisioning", "workload_mix",
+       R"({"builder": "cache_working_set", "working_set_gb": 64})",
+       {{"working_set_gb", Value(64)}}},
   };
-  ASSERT_TRUE(reg.Register("placement", "dup", noop).ok());
-  Status again = reg.Register("placement", "dup", noop);
-  EXPECT_EQ(again.code(), StatusCode::kAlreadyExists);
+  for (const Case& c : cases) {
+    auto spec = LoadSection(c.simulation, c.family, c.section);
+    ASSERT_TRUE(spec.ok()) << c.section << ": " << spec.status().ToString();
+    EXPECT_EQ(spec->query.params, c.params) << c.section;
+    EXPECT_TRUE(spec->query.dimensions.empty()) << c.section;
+  }
 }
 
-TEST(ScenarioRegistry, FindUnknownListsKnownBuilders) {
-  auto missing = ScenarioRegistry::Global()->Find("topology", "nope");
-  ASSERT_FALSE(missing.ok());
-  EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
-  EXPECT_NE(missing.status().message().find("flat_cluster"),
-            std::string::npos);
+TEST(ScenarioBuilders, UnknownBuilderListsItsFamilySorted) {
+  auto spec = LoadSection("availability", "failure_model",
+                          R"({"builder": "nope"})");
+  ASSERT_FALSE(spec.ok());
+  EXPECT_EQ(spec.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(spec.status().message(),
+            "unit: no builder 'nope' in family 'failure_model'; known: "
+            "degraded_nic, fixed_count, node_outage, none, weibull_afr");
+
+  auto topo = LoadSection("availability", "topology", R"({"builder": "x"})");
+  ASSERT_FALSE(topo.ok());
+  EXPECT_EQ(topo.status().message(),
+            "unit: no builder 'x' in family 'topology'; known: flat_cluster");
 }
 
-TEST(ScenarioRegistry, GlobalHasBuiltins) {
-  ScenarioRegistry* reg = ScenarioRegistry::Global();
-  EXPECT_TRUE(reg->Find("topology", "flat_cluster").ok());
-  EXPECT_TRUE(reg->Find("failure_model", "weibull_afr").ok());
-  EXPECT_TRUE(reg->Find("placement", "replicated").ok());
-  EXPECT_TRUE(reg->Find("workload_mix", "open_loop").ok());
-  EXPECT_TRUE(reg->Find("ablation", "set_params").ok());
-  // Names() is sorted.
-  std::vector<std::string> names = reg->Names("failure_model");
-  EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
+TEST(ScenarioBuilders, RequiredKeysAreEnforced) {
+  struct Case {
+    const char* simulation;
+    const char* family;
+    const char* builder;
+    const char* key;
+  };
+  const std::vector<Case> cases = {
+      {"availability", "failure_model", "weibull_afr", "node_afr"},
+      {"static_availability", "failure_model", "fixed_count", "failures"},
+      {"performance", "failure_model", "node_outage", "outage_at_s"},
+      {"performance", "failure_model", "degraded_nic", "limp_nic_node"},
+      {"performance", "workload_mix", "open_loop", "rate"},
+      {"provisioning", "workload_mix", "cache_working_set", "working_set_gb"},
+  };
+  for (const Case& c : cases) {
+    auto spec = LoadSection(c.simulation, c.family,
+                            std::string(R"({"builder": ")") + c.builder +
+                                "\"}");
+    ASSERT_FALSE(spec.ok()) << c.builder;
+    EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(spec.status().message(),
+              std::string("unit: ") + c.family + "/" + c.builder +
+                  ": missing required key '" + c.key + "'");
+  }
+}
+
+TEST(ScenarioBuilders, SectionErrorsKeepTheirMessages) {
+  struct Case {
+    const char* family;
+    const char* section;
+    const char* message;
+  };
+  const std::vector<Case> cases = {
+      {"failure_model", R"({"builder": "none", "failures": 1})",
+       "unit: failure_model/none takes no config"},
+      {"topology", "3", "unit: 'topology' must be an object"},
+      {"placement", R"({"replication": 3})",
+       "unit: 'placement' needs a string \"builder\" key"},
+      {"workload_mix", R"({"builder": 5})",
+       "unit: 'workload_mix' needs a string \"builder\" key"},
+      {"topology", R"({"builder": "flat_cluster", "failures": 2})",
+       "unit: topology/flat_cluster: dimension 'failures' belongs to family "
+       "'failure_model', not 'topology'"},
+      {"topology", R"({"builder": "flat_cluster", "warp": 9})",
+       "unit: topology/flat_cluster: simulation 'static_availability' has no "
+       "dimension 'warp' (see \\dims)"},
+      {"placement", R"({"builder": "replicated", "replication": 2.5})",
+       "unit: placement/replicated: dimension 'replication': expected an "
+       "integer"},
+  };
+  for (const Case& c : cases) {
+    auto spec = LoadSection("static_availability", c.family, c.section);
+    ASSERT_FALSE(spec.ok()) << c.section;
+    EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(spec.status().message(), c.message);
+  }
 }
 
 TEST(ScenarioLoad, MinimalCompiles) {
@@ -295,6 +373,74 @@ TEST(ScenarioAblations, UnknownAblationIsNotFound) {
   EXPECT_NE(spec.status().message().find("few_trials"), std::string::npos);
 }
 
+TEST(ScenarioAblations, SetParamsUnexploresThePinnedDimension) {
+  std::string text = kWithAblations;
+  text.replace(text.find(R"("few_trials")"), 0,
+               R"("pin_failures": {"set": {"failures": 2}}, )");
+  auto spec = LoadScenarioText(text, "unit", {"pin_failures"});
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  EXPECT_EQ(FindDim(spec->query, "failures"), nullptr);
+  EXPECT_EQ(spec->query.params.at("failures"), Value(2));
+  ASSERT_EQ(spec->query.dimensions.size(), 1u);
+  EXPECT_EQ(spec->query.dimensions[0].name, "replication");
+}
+
+TEST(ScenarioAblations, ErrorsKeepTheirMessages) {
+  // Malformed ablations load until requested; each then fails alone.
+  constexpr const char* kMalformed = R"({
+    "scenario": "abl", "simulation": "static_availability",
+    "with": {"trials": 30},
+    "explore": {"failures": [1, 2]},
+    "ablations": {
+      "unknown": {"builder": "nope"},
+      "numeric_builder": {"builder": 7},
+      "set_not_object": {"set": 3},
+      "set_empty": {"set": {}},
+      "set_extra_key": {"set": {"trials": 5}, "also": 1},
+      "drop_not_array": {"builder": "drop_dimensions", "drop": "failures"},
+      "drop_not_name": {"builder": "drop_dimensions", "drop": [3]},
+      "drop_fixed": {"builder": "drop_dimensions", "drop": ["trials"]},
+      "explore_not_object": {"builder": "override_explore", "explore": []}
+    }
+  })";
+  ASSERT_TRUE(LoadScenarioText(kMalformed, "unit").ok());
+  struct Case {
+    const char* ablation;
+    StatusCode code;
+    const char* message;
+  };
+  const std::vector<Case> cases = {
+      {"unknown", StatusCode::kNotFound,
+       "unit: no builder 'nope' in family 'ablation'; known: "
+       "drop_dimensions, override_explore, set_params"},
+      {"numeric_builder", StatusCode::kInvalidArgument,
+       "unit: 'ablation 'numeric_builder' builder' must be a string"},
+      {"set_not_object", StatusCode::kInvalidArgument,
+       "unit: ablation/set_params wants exactly {\"set\": {dim: value, ...}}"},
+      {"set_empty", StatusCode::kInvalidArgument,
+       "unit: ablation/set_params wants exactly {\"set\": {dim: value, ...}}"},
+      {"set_extra_key", StatusCode::kInvalidArgument,
+       "unit: ablation/set_params wants exactly {\"set\": {dim: value, ...}}"},
+      {"drop_not_array", StatusCode::kInvalidArgument,
+       "unit: ablation/drop_dimensions wants exactly {\"drop\": [dim, ...]}"},
+      {"drop_not_name", StatusCode::kInvalidArgument,
+       "unit: ablation/drop_dimensions: 'drop' entries must be dimension "
+       "names"},
+      {"drop_fixed", StatusCode::kInvalidArgument,
+       "unit: ablation/drop_dimensions: 'trials' is not an explored "
+       "dimension of this scenario"},
+      {"explore_not_object", StatusCode::kInvalidArgument,
+       "unit: ablation/override_explore wants exactly {\"explore\": {dim: "
+       "[...]}}"},
+  };
+  for (const Case& c : cases) {
+    auto spec = LoadScenarioText(kMalformed, "unit", {c.ablation});
+    ASSERT_FALSE(spec.ok()) << c.ablation;
+    EXPECT_EQ(spec.status().code(), c.code) << c.ablation;
+    EXPECT_EQ(spec.status().message(), c.message);
+  }
+}
+
 TEST(ScenarioResolve, PassThroughWithoutScenario) {
   QuerySpec plain;
   plain.simulation = "availability";
@@ -312,11 +458,16 @@ TEST(ScenarioResolve, QueryOverridesScenario) {
   parsed.scenario_name = "fig1_unavailability";
   parsed.ablations = {"round_robin_only"};
   parsed.dimensions.push_back({"nodes", {Value(10)}});
+  // "trials" is fixed by the file: exploring it unfixes it and appends it.
+  parsed.dimensions.push_back({"trials", {Value(5), Value(10)}});
   parsed.limit = 5;
   auto resolved = ResolveQuery(parsed);
   ASSERT_TRUE(resolved.ok()) << resolved.status().ToString();
   EXPECT_EQ(resolved->simulation, "static_availability");
+  EXPECT_EQ(resolved->dimensions.front().name, "nodes");
   EXPECT_EQ(FindDim(*resolved, "nodes")->candidates.size(), 1u);
+  EXPECT_EQ(resolved->params.count("trials"), 0u);
+  EXPECT_EQ(resolved->dimensions.back().name, "trials");
   EXPECT_EQ(FindDim(*resolved, "placement")->candidates.size(), 1u);
   EXPECT_EQ(FindDim(*resolved, "failures")->candidates.size(), 9u);
   EXPECT_EQ(resolved->limit, 5);
